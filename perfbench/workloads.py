@@ -39,8 +39,9 @@ HERE = Path(__file__).resolve().parent
 LAYERS = json.loads((HERE / "layers.json").read_text())
 
 SIZES = (13, 33, 97, 385)
-#: Cycles of the single-run probe: 400 samples per size leave 20 beyond p95.
-PROBE_CYCLES = 400
+#: Cycles of the single-run probe: 800 samples per size leave 40 beyond p95;
+#: 400-cycle probes gave three times the run-to-run spread of their medians.
+PROBE_CYCLES = 800
 #: Speed readings at each end of set-up (about 0.3 ms each).
 SETUP_READINGS = 5
 #: Client-side timeout of one daemon request; a deadlocked server ends
