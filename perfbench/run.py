@@ -5,7 +5,8 @@ Usage, from the root of a checkout::
     python3 perfbench/run.py --workload sweep-table2 --seed 1 --seconds 20 --trace 0
 
 Workloads: ``sweep-table2``, ``runs-lite``, ``runs-full`` and
-``daemon-mixed`` (see ``BENCHMARK.json`` and ``perfbench/layers.json``).
+``cache-mixed`` (see ``BENCHMARK.json`` and ``perfbench/layers.json``);
+``daemon-mixed`` runs by hand only (see ``perfbench/README.md``).
 
 The command starts the workload in child processes (``workloads.py``)
 against the checkout's own ``src/``.  It sets the workload up
@@ -22,7 +23,7 @@ last line of standard output is ``{"correct", "attempted", "failed",
 "metrics"}``; the lines before it give the machine fingerprint and a
 readable summary.  The exit code is 0 only when every output checked
 was correct; a failed set-up or a missing ``src/repro`` exits 2
-without a result.  Scratch files (the daemon's cache, span files of
+without a result.  Scratch files (cell caches, span files of
 traced runs) go to ``.perfbench_out/`` in the checkout.
 """
 
@@ -42,7 +43,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 LAYERS = json.loads((HERE / "layers.json").read_text())
-WORKLOADS = ("sweep-table2", "runs-lite", "runs-full", "daemon-mixed")
+WORKLOADS = ("sweep-table2", "runs-lite", "runs-full", "cache-mixed", "daemon-mixed")
 SETUP_REPEATS = 3
 #: Every child must finish within this many seconds of its start.
 CHILD_TIMEOUT_S = 170.0

@@ -611,6 +611,139 @@ class DaemonMixed:
         self._stop_server()
 
 
+# -- cache-mixed -----------------------------------------------------------------
+
+
+class CachedSweeps:
+    """One caller running the daemon's request stream through a cell cache.
+
+    Each operation is ``run_sweep(grid, cache=store, cross_run=True)``
+    on a fresh per-run cache directory, followed by ``summary_rows()``:
+    the compute path of ``SweepServer.handle_sweep`` without HTTP or a
+    second client.  The loop takes a speed reading before every fourth
+    operation, as :class:`SingleRuns` does.
+    """
+
+    lanes = 1
+
+    def __init__(self, seed: int, out_dir: Path) -> None:
+        self.rng = random.Random(seed)
+        self.stream = RequestStream(self.rng.randrange(2**63))
+        self.out_dir = out_dir
+        self.probe_seed = self.rng.randrange(2**31)
+        self.cache_dir = None
+        self._runs = 0
+        self.summaries: list[tuple[int, list[list[str]]]] = []
+        #: ``(start time, latency ms, cells)`` per recorded operation.
+        self.log: list[tuple[float, float, int]] = []
+        self.hits = 0
+        self.misses = 0
+        self.speed = SpeedLog()
+        self._fresh_cache()
+
+    def _fresh_cache(self) -> None:
+        self._drop_cache()
+        self._runs += 1
+        self.cache_dir = self.out_dir / f"cells-{os.getpid()}-{self._runs}"
+        shutil.rmtree(self.cache_dir, ignore_errors=True)
+        self.cache_dir.mkdir(parents=True)
+
+    def _drop_cache(self) -> None:
+        if self.cache_dir is not None:
+            shutil.rmtree(self.cache_dir, ignore_errors=True)
+            self.cache_dir = None
+
+    def _op(self, index: int, outcome: Outcome, record: bool) -> None:
+        from repro.sweep import CellStore, grid_from_payload, run_sweep
+
+        grid = grid_from_payload(self.stream.request(index))
+        start = time.perf_counter()
+        try:
+            result = run_sweep(grid, trace_detail="lite", cache=CellStore(self.cache_dir),
+                               cross_run=True)
+            summary = [[str(v) for v in row] for row in result.summary_rows()]
+        except Exception as exc:  # a failed operation, counted, not fatal
+            print(f"op {index} raised {exc!r}", file=sys.stderr)
+            result = None
+        elapsed = (time.perf_counter() - start) * 1e3
+        outcome.ops += 1
+        outcome.attempted += 1
+        if result is None:
+            outcome.fail()
+            outcome.incorrect.append(f"op {index} raised")
+            return
+        if result.errors() or not result.all_satisfied:
+            outcome.fail()
+            outcome.incorrect.append(f"op {index}: error or spec-failing cells")
+        if record:
+            stats = result.cache_stats
+            self.hits += stats.hits
+            self.misses += stats.misses
+            self.log.append((start, elapsed, len(result)))
+            self.summaries.append((index, summary))
+
+    def warm_up(self) -> None:
+        """One uncached sweep of a grid drawn apart from the timed stream."""
+        from repro.sweep import grid_from_payload, run_sweep
+
+        grid = grid_from_payload(RequestStream(self.rng.randrange(2**63)).request(0))
+        run_sweep(grid, trace_detail="lite", cross_run=True)
+
+    def measure(self, seconds: float, tracer=None) -> Outcome:
+        outcome = Outcome()
+        self.speed = SpeedLog()
+        start = self.speed.start
+        while time.perf_counter() - start < seconds:
+            if outcome.ops % 4 == 0:
+                self.speed.sample()
+            if tracer is not None:
+                tracer.set_op(outcome.ops + 1)
+            self._op(outcome.ops, outcome, record=True)
+        outcome.wall_s = time.perf_counter() - start
+        return outcome
+
+    def replay(self, ops: int) -> float:
+        self._fresh_cache()
+        scratch = Outcome()
+        start = time.perf_counter()
+        for index in range(ops):
+            self._op(index, scratch, record=False)
+        return time.perf_counter() - start
+
+    def verify(self, outcome: Outcome) -> None:
+        """Sampled summaries must equal a direct, uncached run_sweep of the grid."""
+        from repro.sweep import grid_from_payload, run_sweep
+
+        for index, summary in self.rng.sample(self.summaries, min(6, len(self.summaries))):
+            grid = grid_from_payload(self.stream.request(index))
+            direct = [[str(v) for v in row] for row in run_sweep(grid).summary_rows()]
+            if direct != summary:
+                outcome.fail()
+                outcome.incorrect.append(f"summary mismatch on op {index}")
+
+    def end_to_end(self, outcome: Outcome) -> dict[str, float]:
+        scaled = [ms * self.speed.factor(t) for t, ms, _ in self.log]
+        # One caller in a closed loop: its rate is the inverse of its
+        # mean operation time.
+        requests_per_s = 1e3 * len(scaled) / sum(scaled)
+        cells = sum(c for *_, c in self.log)
+        metrics = {
+            "cells_per_s": requests_per_s * cells / len(self.log),
+            "requests_per_s": requests_per_s,
+            "request_ms_p50": percentile(scaled, 50),
+            "request_ms_p99": percentile(scaled, 99),
+        }
+        metrics.update(probe_single_runs(self.probe_seed))
+        return metrics
+
+    def context(self) -> dict:
+        looked_up = self.hits + self.misses
+        return {"hit_ratio": self.hits / looked_up if looked_up else 0.0}
+
+    def close(self) -> None:
+        self._drop_cache()
+
+
 def build(workload: str, seed: int, out_dir: Path):
     derived = derive_seed(seed, workload)
     if workload == "sweep-table2":
@@ -619,6 +752,8 @@ def build(workload: str, seed: int, out_dir: Path):
         return SingleRuns(derived, "lite")
     if workload == "runs-full":
         return SingleRuns(derived, "full")
+    if workload == "cache-mixed":
+        return CachedSweeps(derived, out_dir)
     if workload == "daemon-mixed":
         return DaemonMixed(derived, out_dir)
     raise SystemExit(f"unknown workload {workload!r}")
