@@ -12,44 +12,32 @@ checks two invariants on a small fixed benchmark:
   round kernel blows far past it.  The vectorized engine gets its own
   floor at ``n = 97`` (same 3x slack) against the committed
   ``throughput_vectorized`` section.
-* **batched dispatch** -- on the 64-cell reference grid with >= 4 CPUs
-  and fork-started workers, the batched 4-worker sweep must not be
-  slower than a serial sweep -- the regression PR 1 shipped with
-  (0.94x) and the in-worker batching exists to fix.  Without real
-  parallelism every pooled variant intrinsically trails serial, so the
-  timings are then reported as datapoints only.
-* **cross-run engine** -- the stacked ``(R, n)`` engine on the same
-  64-cell grid: cells/sec must not fall more than 3x below the
-  committed ``cross_run`` ledger section, and the cross-run sweep must
-  never be slower than per-cell serial.  Unlike the pool bars this
-  holds on *any* CPU count -- the stacking is pure numpy batching with
-  no processes to overlap.
+* **cross-run engine** -- the stacked ``(R, n)`` engine that every
+  sweep runs on, on the 64-cell reference grid: cells/sec must not
+  fall more than 3x below the committed ``cross_run`` ledger section,
+  and the sweep must never be slower than per-cell serial execution
+  (a direct ``run_cell`` loop over the grid).  Unlike the pool bar
+  this holds on *any* CPU count -- the stacking is pure numpy batching
+  with no processes to overlap.
 * **shm cross-run pool** -- the zero-copy shared-memory variant
-  (``workers=4, cross_run=True``) on the same grid: with >= 2 usable
+  (``workers=4``) on the same grid: with >= 2 usable
   CPUs, fork workers and the pool rung actually selected, cells/sec
   must clear the committed ``cross_run_shm`` floor (same 3x slack)
   and the sweep must beat per-cell serial >= 1.5x; on one usable CPU
   the backend degrades to the serial cross-run rung and the
   auto-fallback numbers are a datapoint only.  ``--record-shm``
   merges the measured numbers into the ``cross_run_shm`` section.
-* **async dispatch** -- the work-queue backend on the same grid must
-  beat serial >= 1.3x whenever >= 2 usable CPUs and fork-started
-  workers exist; on one CPU its auto-fallback path is reported as a
-  datapoint only.  ``--record-async`` additionally merges the measured
-  numbers into the ``sweep_async`` section of ``BENCH_perf.json``
-  (read-modify-write, like the bench fixtures), which is how the CI
-  async step records the ledger datapoint.
 * **telemetry overhead** -- the always-on metrics path (counters at
   cell granularity) must cost <= 5% over a metrics-disabled sweep on
   the same 64-cell grid; a fully traced sweep (``telemetry=DIR``) is
   timed as a datapoint only.  ``--record-telemetry`` merges the
   numbers into the ``telemetry_overhead`` section.
 
-Bit-identity of batched, shm, async and traced results is asserted
-unconditionally.  Run from the repository root::
+Bit-identity of cross-run, shm and traced results with per-cell
+execution is asserted unconditionally.  Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py [--record-async]
-        [--record-shm] [--record-telemetry]
+    PYTHONPATH=src python benchmarks/perf_smoke.py [--record-shm]
+        [--record-telemetry]
 """
 
 from __future__ import annotations
@@ -66,9 +54,9 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_perf import (  # noqa: E402
-    BATCH_SIZE,
     ROUNDS,
     _best_of,
+    _run_per_cell,
     _sweep_grid_64,
     run_family_sized,
     run_sized,
@@ -101,7 +89,6 @@ def _record_section(section: str, payload: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     flags = argv or sys.argv[1:]
-    record_async = "--record-async" in flags
     record_shm = "--record-shm" in flags
     record_telemetry = "--record-telemetry" in flags
     failures: list[str] = []
@@ -192,47 +179,24 @@ def main(argv: list[str] | None = None) -> int:
     grid = _sweep_grid_64()
     cpus = os.cpu_count() or 1
     fork_start = multiprocessing.get_start_method() == "fork"
-    serial = run_sweep(grid, workers=1)
-    batched = run_sweep(grid, workers=4, batch_size=BATCH_SIZE)
-    if batched.cells != serial.cells:
-        failures.append("batched sweep results differ from serial results")
-
-    serial_s = _best_of(2, run_sweep, grid, 1)
-    parallel_s = _best_of(2, lambda: run_sweep(grid, workers=4))
-    batched_s = _best_of(
-        2, lambda: run_sweep(grid, workers=4, batch_size=BATCH_SIZE)
-    )
+    # Sweeps always run cross-run, so the per-cell serial baseline is a
+    # direct run_cell loop over the grid.
+    per_cell = _run_per_cell(grid)
+    serial_s = _best_of(2, _run_per_cell, grid)
     print(
         f"64-cell grid ({cpus} cpus, "
         f"{multiprocessing.get_start_method()} start): "
-        f"serial {serial_s * 1e3:.0f}ms, 4-worker {parallel_s * 1e3:.0f}ms, "
-        f"4-worker batch={BATCH_SIZE} {batched_s * 1e3:.0f}ms"
+        f"per-cell serial {serial_s * 1e3:.0f}ms"
     )
-    if cpus >= 4 and fork_start:
-        if batched_s > serial_s:
-            failures.append(
-                f"batched 4-worker sweep slower than serial on {cpus} cpus: "
-                f"{batched_s * 1e3:.0f}ms vs {serial_s * 1e3:.0f}ms"
-            )
-        if batched_s > parallel_s * 1.15:
-            failures.append(
-                f"batched dispatch lost to unbatched parallel dispatch: "
-                f"{batched_s * 1e3:.0f}ms vs {parallel_s * 1e3:.0f}ms"
-            )
-    else:
-        print(
-            "wall-clock bars skipped: need >= 4 CPUs and fork-started "
-            "workers (a pool cannot beat serial on one core)"
-        )
 
     # The cross-run stacked engine: compatible cells advance together
     # as one (R, n) array, so its win is pool-free and must hold on
     # any CPU count.  Floored on cells/sec against the committed
     # ``cross_run`` ledger section, same 3x hardware slack.
-    cross_result = run_sweep(grid, cross_run=True)
-    if cross_result.cells != serial.cells:
-        failures.append("cross-run sweep results differ from serial results")
-    cross_s = _best_of(2, lambda: run_sweep(grid, cross_run=True))
+    cross_result = run_sweep(grid)
+    if cross_result.cells != per_cell:
+        failures.append("cross-run sweep results differ from per-cell results")
+    cross_s = _best_of(2, run_sweep, grid)
     cross_committed = float(baseline["cross_run"]["cells_per_sec"])
     cross_measured = len(grid) / cross_s
     cross_floor = cross_committed / REGRESSION_FACTOR
@@ -268,10 +232,10 @@ def main(argv: list[str] | None = None) -> int:
     # and the 1.5x-over-serial bar; on one usable CPU the backend
     # degrades to the serial cross-run rung and the auto-fallback
     # numbers are recorded as a datapoint only.
-    shm_result = run_sweep(grid, workers=4, cross_run=True)
-    if shm_result.cells != serial.cells:
-        failures.append("shm cross-run results differ from serial results")
-    shm_s = _best_of(2, lambda: run_sweep(grid, workers=4, cross_run=True))
+    shm_result = run_sweep(grid, workers=4)
+    if shm_result.cells != per_cell:
+        failures.append("shm cross-run results differ from per-cell results")
+    shm_s = _best_of(2, run_sweep, grid, 4)
     shm_speedup = serial_s / shm_s
     shm_pooled = parse_dispatch_label(shm_result.dispatch).rung == "shm"
     print(
@@ -319,50 +283,6 @@ def main(argv: list[str] | None = None) -> int:
             },
         )
 
-    # The elastic work-queue backend: dynamic chunking from a shared
-    # queue, results streamed per chunk.  Its acceptance bar (>= 1.3x
-    # over serial) applies as soon as two usable CPUs exist.
-    async_result = run_sweep(grid, workers=4, backend="async")
-    if async_result.cells != serial.cells:
-        failures.append("async sweep results differ from serial results")
-    async_s = _best_of(
-        2, lambda: run_sweep(grid, workers=4, backend="async")
-    )
-    async_speedup = serial_s / async_s
-    # The backend's own pool decision is affinity-aware; the bars gate
-    # on the same ``usable`` count so a runner pinned to one core is
-    # not held to a parallel bar it cannot reach.
-    print(
-        f"async 4-worker: {async_s * 1e3:.0f}ms "
-        f"({async_speedup:.2f}x over serial; "
-        f"dispatch: {async_result.dispatch})"
-    )
-    if usable >= 2 and fork_start:
-        if async_speedup < 1.3:
-            failures.append(
-                f"async backend only {async_speedup:.2f}x over serial on "
-                f"{cpus} cpus (acceptance bar is 1.3x)"
-            )
-    else:
-        print(
-            "async wall-clock bar skipped: auto-fallback path recorded "
-            "as a datapoint only on one usable cpu"
-        )
-    if record_async:
-        _record_section(
-            "sweep_async",
-            {
-                "cells": len(grid),
-                "cpus": cpus,
-                "usable_cpus": usable,
-                "start_method": multiprocessing.get_start_method(),
-                "serial_ms": round(serial_s * 1e3, 1),
-                "async4_ms": round(async_s * 1e3, 1),
-                "speedup": round(async_speedup, 3),
-                "dispatch": async_result.dispatch,
-            },
-        )
-
     # Telemetry overhead: the always-on metrics path (cell-granularity
     # counters, no tracing session) must stay within the 5% bar of a
     # metrics-disabled sweep on the same reference grid.  A fully
@@ -389,8 +309,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as trace_dir:
         traced_result = run_sweep(grid, telemetry=trace_dir)
         traced_s = _best_of(2, lambda: run_sweep(grid, telemetry=trace_dir))
-    if traced_result.cells != serial.cells:
-        failures.append("traced sweep results differ from serial results")
+    if traced_result.cells != per_cell:
+        failures.append("traced sweep results differ from per-cell results")
     print(
         f"telemetry 64-cell grid: metrics off {metrics_off_s * 1e3:.0f}ms, "
         f"on {metrics_on_s * 1e3:.0f}ms (+{overhead_pct:.1f}%, "

@@ -208,15 +208,12 @@ def sweep_grid(
     topologies=DEFAULT_TOPOLOGY,
     workers: int = 1,
     trace_detail: str = "lite",
-    chunk_size: int | None = None,
     backend=None,
     cache=None,
     probe: str | None = None,
-    batch_size: int | None = None,
     dispatch: str = "auto",
     progress=None,
     journal=None,
-    cross_run: bool = False,
 ):
     """Run a scenario sweep over the cartesian product of the axes.
 
@@ -230,28 +227,26 @@ def sweep_grid(
     combinations a family rejects structurally (complete-graph
     families on partial graphs) are pruned from the grid, so
     head-to-head comparisons like witness-on-ring vs bonomi-on-complete
-    ride one grid.  ``workers > 1``
-    distributes cells over a process pool; ``trace_detail`` selects the
-    simulator path (the default trace-lite fast path is bit-identical
-    on decisions and diameters).  ``backend`` overrides the execution
-    strategy (a :class:`~repro.sweep.SweepBackend` instance or one of
-    ``"serial"`` / ``"multiprocessing"`` / ``"async"``), ``cache`` -- a
-    directory path or :class:`~repro.sweep.CellStore` -- memoizes
-    per-cell results on disk, and ``probe`` names a registered trace
-    probe (or a ``"module:attr"`` entry point) whose output lands in
-    each cell's ``extras``.  ``batch_size``, ``dispatch``, ``progress``
-    and ``journal`` forward to :func:`repro.sweep.run_sweep`: in-worker
-    batching, the pool-heuristic override, a streaming
+    ride one grid.
+
+    Execution is cross-run: compatible cells (same shape, differing
+    only in seed) advance together as one stacked ``(R, n)`` state
+    array, bit-identical to per-cell execution (see
+    :func:`repro.sweep.run_cell_many`).  ``workers > 1`` selects the
+    zero-copy shared-memory stealing pool
+    (:class:`~repro.sweep.ShmCrossRunBackend`); ``trace_detail``
+    selects the simulator path (the default trace-lite fast path is
+    bit-identical on decisions and diameters).  ``backend`` overrides
+    the execution strategy (a :class:`~repro.sweep.SweepBackend`
+    instance or ``"serial"``), ``cache`` -- a directory path or
+    :class:`~repro.sweep.CellStore` -- memoizes per-cell results on
+    disk, and ``probe`` names a registered trace probe (or a
+    ``"module:attr"`` entry point) whose output lands in each cell's
+    ``extras``.  ``dispatch``, ``progress`` and ``journal`` forward to
+    :func:`repro.sweep.run_sweep`: the pool-heuristic override
+    (``"shm"`` forces the pool outright), a streaming
     ``(result, done, total)`` callback, and a
-    :class:`~repro.sweep.SweepJournal` for resumable sweeps.
-    ``cross_run=True`` routes execution through the cross-run
-    vectorized engine: compatible cells (same shape, differing only in
-    seed) advance together as one stacked ``(R, n)`` state array,
-    bit-identical to per-cell execution (see
-    :func:`repro.sweep.run_cell_many`); with ``workers > 1`` it
-    auto-selects the zero-copy shared-memory stealing pool
-    (:class:`~repro.sweep.ShmCrossRunBackend`), and ``dispatch="shm"``
-    forces that pool outright.  Returns a
+    :class:`~repro.sweep.SweepJournal` for resumable sweeps.  Returns a
     :class:`~repro.sweep.SweepResult`.
 
     >>> import repro
@@ -281,15 +276,12 @@ def sweep_grid(
         grid,
         workers=workers,
         trace_detail=trace_detail,
-        chunk_size=chunk_size,
         backend=backend,
         cache=cache,
         probe=probe,
-        batch_size=batch_size,
         dispatch=dispatch,
         progress=progress,
         journal=journal,
-        cross_run=cross_run,
     )
 
 

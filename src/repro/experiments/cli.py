@@ -9,9 +9,9 @@ that rides the sweep engine, parallelizing and memoizing their runs.
 
 ``repro-experiments sweep [options]`` enters the scenario-sweep engine
 instead: a cartesian grid over models/f/n/algorithms/movements/attacks/
-epsilons/seeds, executed through a pluggable backend -- serially, over
-worker processes, or as one deterministic shard of a multi-host run
-(``--backend sharded --shard I/N``) -- optionally against a
+epsilons/seeds, executed through the cross-run engine -- in-process,
+over the shared-memory worker pool, or as one deterministic shard of a
+multi-host run (``--shard I/N``) -- optionally against a
 content-addressed cell cache (``--cache-dir``), reported as summary
 tables and diameter series.
 """
@@ -148,7 +148,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         prog="repro-experiments sweep",
         description=(
             "Run a scenario sweep: the cartesian product of the given axes, "
-            "each cell one simulation, executed serially, across worker "
+            "each cell one simulation, same-shape cells stacked into one "
+            "cross-run group, executed in-process, across worker "
             "processes, or as one deterministic shard of a multi-host run, "
             "on the trace-lite fast path."
         ),
@@ -212,52 +213,20 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = serial; results are identical)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="B",
-        help=(
-            "run cells in in-worker batches of B sharing one round "
-            "kernel; recommended for grids of cheap cells, where "
-            "per-cell dispatch would dominate (results are identical)"
-        ),
-    )
-    parser.add_argument(
-        "--cross-run",
-        action="store_true",
-        help=(
-            "advance compatible cells (same shape, differing only in "
-            "seed) together as one stacked (R, n) state array -- the "
-            "cross-run vectorized engine; fastest for grids of many "
-            "seeds per scenario (results are identical)"
-        ),
-    )
-    parser.add_argument(
         "--detail",
         choices=["full", "lite"],
         default="lite",
         help="trace detail; 'lite' is the fast path (default)",
     )
     parser.add_argument(
-        "--backend",
-        choices=["serial", "multiprocessing", "async", "sharded"],
-        default=None,
-        help=(
-            "execution backend (default: serial, or multiprocessing when "
-            "--workers > 1); 'async' feeds the pool from a work queue "
-            "with adaptive chunking; 'sharded' requires --shard"
-        ),
-    )
-    parser.add_argument(
         "--dispatch",
-        choices=["auto", "serial", "pool", "shm"],
+        choices=["auto", "serial", "shm"],
         default="auto",
         help=(
             "override the pool heuristic: 'serial' forces in-process "
-            "execution, 'pool' forces worker processes even on one "
-            "usable CPU (with a warning), 'shm' forces the zero-copy "
-            "shared-memory cross-run pool with work stealing (implies "
-            "--cross-run; results are identical under every mode, "
+            "execution, 'shm' forces the zero-copy shared-memory "
+            "cross-run pool with work stealing even on one usable CPU "
+            "(with a warning; results are identical under every mode, "
             "this is a testing/benchmarking knob)"
         ),
     )
@@ -266,7 +235,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "print one line per finished cell as results stream in "
-            "(per chunk under the async backend)"
+            "(per cross-run group in-process, per batch from the pool)"
         ),
     )
     parser.add_argument(
@@ -476,15 +445,8 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
             families=split_axis(args.families),
             topologies=split_axis(args.topologies),
         )
-        backend = args.backend
-        if args.shard is not None and backend not in (None, "sharded"):
-            raise ValueError(
-                f"--shard contradicts --backend {backend}; sharding is "
-                "its own backend (drop --backend or use --backend sharded)"
-            )
-        if args.shard is not None or backend == "sharded":
-            if args.shard is None:
-                raise ValueError("--backend sharded requires --shard I/N")
+        backend = None
+        if args.shard is not None:
             shard_index, shard_count = _parse_shard(args.shard)
             spill_dir = args.spill_dir
             if spill_dir is None and args.cache_dir is not None:
@@ -502,7 +464,6 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
                 shard_count,
                 spill_dir,
                 workers=args.workers,
-                batch_size=args.batch_size,
             )
         print(grid.describe())
         try:
@@ -512,12 +473,10 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
                 trace_detail=args.detail,
                 backend=backend,
                 cache=store,
-                batch_size=args.batch_size,
                 probe=args.probe,
                 dispatch=args.dispatch,
                 progress=_progress_printer() if args.progress else None,
                 journal=journal,
-                cross_run=args.cross_run,
                 telemetry=args.telemetry,
             )
         finally:
@@ -539,7 +498,7 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
         print()
     print(result.summary_table())
     # The dispatch label is the evidence of *how* cells actually ran
-    # (serial, pool, cross-run batches, shm + steal count); CI smoke
+    # (cross-run batches, pool rung + steal count, shards); CI smoke
     # steps grep it, and identity checks diff it out.
     print(f"dispatch: {result.dispatch}")
     if args.series:
@@ -552,7 +511,7 @@ def sweep_main(argv: Sequence[str] | None = None) -> int:
     for cell in result.errors():
         print(f"ERROR {cell.spec.describe()}: {cell.error}")
     # One-line warning summary: silent conversions (error cells,
-    # forced-pool dispatches on one CPU) must not vanish in the
+    # forced shm pools on one CPU) must not vanish in the
     # aggregate tables.
     delta = snapshot_delta(metrics_before, get_registry().snapshot())
     warn_parts = []
@@ -614,7 +573,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         description=(
             "Run the sweep daemon: a JSON-over-HTTP service that answers "
             "warm-cache grid queries straight from the cell store and "
-            "schedules cold cells through the async backend."
+            "computes cold cells through the shared-memory cross-run pool."
         ),
     )
     parser.add_argument(

@@ -100,7 +100,8 @@ class RunBatchOut:
 
     ``written`` records which slots the simulator actually filled, so
     callers can tell a written row from a slot whose run was skipped
-    (cache hit) or errored before producing a trace.
+    (cache hit), errored before producing a trace, or decided more
+    processes than the layout planned for.
     """
 
     __slots__ = (
@@ -139,6 +140,11 @@ class RunBatchOut:
         is bit-identical to condensing the trace in-process.
         """
         row = self.final_values[slot]
+        if trace.decisions and max(trace.decisions) >= row.shape[0]:
+            # Wider than the planned layout (a scenario that sizes its
+            # own system, e.g. ``stall``): leave the slot unwritten so
+            # the run rides the inline pickle channel instead.
+            return
         mask = self.decision_mask[slot]
         mask[:] = 0
         for pid, value in trace.decisions.items():

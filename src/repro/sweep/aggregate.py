@@ -7,7 +7,7 @@ and grouped summaries) and :class:`repro.analysis.Series` diameter
 trajectories (the "figures" of the terminal harness).
 
 :class:`SweepAccumulator` is the *incremental* builder behind streaming
-execution: cells are added one by one as chunks, shards or journal
+execution: cells are added one by one as pool batches, shards or journal
 replays complete, group statistics update as they land, and
 :meth:`SweepAccumulator.snapshot` yields at any moment the exact
 :class:`SweepResult` a batch merge of the same cells would have
@@ -42,16 +42,17 @@ class SweepResult:
     of a sharded sweep whose sibling shards are still outstanding (see
     :class:`repro.sweep.backends.ShardedBackend`).
 
-    ``dispatch`` records how the cells were actually executed --
-    ``"serial"``, ``"parallel"``, their ``"batched-"`` variants, an
-    ``"async-"`` work-queue label, or a fallback label when a pooled
-    backend decided a pool could not win (e.g. one usable CPU) and ran
-    in-process instead.  It is excluded from equality: the decision is
-    a property of the executing machine, not of the result, and
-    warm-cache reruns must compare equal to the cold runs that produced
-    them.  ``cache_stats`` is excluded for the same reason: it carries
-    the executing invocation's :class:`~repro.sweep.cache.CacheStats`
-    traffic counters (``None`` when no cell cache was attached).
+    ``dispatch`` records how the cells were actually executed -- the
+    cross-run batch structure (``"cross-run(4 batches, max R=16)"``),
+    the pool rung and steal count when the shared-memory pool ran
+    (``"cross-run-shm(...)"``), or a ``"sharded(...)"`` wrapper --
+    see :func:`repro.telemetry.parse_dispatch_label`.  It is excluded
+    from equality: the decision is a property of the executing machine,
+    not of the result, and warm-cache reruns must compare equal to the
+    cold runs that produced them.  ``cache_stats`` is excluded for the
+    same reason: it carries the executing invocation's
+    :class:`~repro.sweep.cache.CacheStats` traffic counters (``None``
+    when no cell cache was attached).
     """
 
     cells: tuple["CellResult", ...]
@@ -213,7 +214,7 @@ class SweepResult:
 class SweepAccumulator:
     """Incremental :class:`SweepResult` builder for streaming execution.
 
-    Feed it cells in *any* order -- as async chunks land, shards merge
+    Feed it cells in *any* order -- as pool batches land, shards merge
     or a resume journal replays -- and read aggregates at any moment:
     :meth:`live_summary_rows` updates from per-group accumulators
     without touching the cell list, and :meth:`snapshot` materializes

@@ -1,55 +1,39 @@
-"""Pluggable sweep execution backends.
+"""Sweep execution backends: where the cross-run groups of a grid run.
 
-PR 1 hardcoded two execution strategies inside ``run_sweep``; this
-module extracts them behind one small interface so the engine no longer
-cares *how* cells run.  A backend answers three questions:
+Every sweep runs through the cross-run engine: the engine partitions
+the cells it must execute by :attr:`~repro.sweep.grid.CellSpec.batch_key`
+-- the cell's identity minus its seed, so a group describes the *same*
+simulation shape differing only in RNG streams -- and each group is one
+call to :func:`~repro.sweep.engine.run_cell_many`, which stacks the
+group's runs into a single ``(R, n)`` state array and advances all of
+them per round with one vectorized pass.  Cells the stacked engine
+cannot take (full traces, stateful families, partial topologies) run
+as per-run simulations inside that same call.  The partition is a true
+partition (families, topologies and scenarios never mix), results are
+bit-identical to per-cell :func:`~repro.sweep.engine.run_cell`
+execution, and the dispatch label records the batch structure, e.g.
+``cross-run(4 batches, max R=16)``.
+
+A backend answers three questions:
 
 * :meth:`SweepBackend.select` -- which cells of the grid does this
   invocation own?  (All of them, except for sharded execution.)
-* :meth:`SweepBackend.execute` -- how do the owned, uncached cells run?
+* :meth:`SweepBackend.execute_many` -- where do the owned, uncached
+  groups run?
 * :meth:`SweepBackend.finalize` -- how do the results become a
   :class:`~repro.sweep.aggregate.SweepResult`?
 
-Determinism contract: backends never change *what* a cell computes --
-each cell runs through the same runner callable -- only where and when.
-The engine sorts results by cell key, so any backend yields the same
-:class:`SweepResult` for the same grid.
+Determinism contract: backends never change *what* a cell computes,
+only where and when.  The engine sorts results by cell key, so any
+backend yields the same :class:`SweepResult` for the same grid.
 
-:class:`ShardedBackend` is the distribution building block: invocation
-``k`` of ``N`` owns the cells whose rank in key order is ``k mod N``,
-spills its finished shard to a shared directory, and -- once every
-shard file is present -- merges them into the one bit-identical
-result a serial run would have produced.  Shards can run in any order,
-on any host that shares the spill directory.
-
-:class:`AsyncBackend` is the elastic single-host backend: instead of
-cutting the grid into static chunks up front, a dispatcher feeds the
-pool from a shared work queue with *dynamic* chunking -- cells are
-ordered heaviest-first (LPT scheduling), expensive cells ship alone,
-and cheap cells are batched adaptively into chunks sized by a
-continuously calibrated cost model, so per-task dispatch overhead is
-amortized without starving the pool behind stragglers.  Results stream
-back chunk by chunk through :attr:`SweepBackend.on_result`, which is
-what powers streaming aggregation, progress lines and resume journals.
-
-Cross-run execution (:meth:`SweepBackend.execute_many`) is the third
-packaging of work: cells are partitioned by
-:attr:`~repro.sweep.grid.CellSpec.batch_key` -- the cell's identity
-minus its seed, so a group describes the *same* simulation shape
-differing only in RNG streams -- and each group is one call to
-:func:`~repro.sweep.engine.run_cell_many`, which stacks the group's
-runs into a single ``(R, n)`` state array and advances all of them per
-round with one vectorized pass.  The partition is a true partition
-(every cell lands in exactly one group; families, topologies and
-scenarios never mix), results are bit-identical to per-cell execution,
-and the dispatch label records the batch structure, e.g.
-``cross-run(4 batches, max R=16)``.
-
-:class:`ShmCrossRunBackend` is the parallel packaging of cross-run
-work: whole ``batch_key`` groups run in pool workers which write their
-stacked results into ``multiprocessing.shared_memory`` blocks (planned
-by :class:`~repro.runtime.simulator.ShmBatchLayout`) and ship back only
-a compact header plus per-run scalars -- result payloads are never
+There are two executors.  :class:`SerialBackend` (the base
+:class:`SweepBackend` behaviour) runs the groups in-process, one after
+another.  :class:`ShmCrossRunBackend` is the one pool: whole groups
+run in pool workers which write their stacked results into
+``multiprocessing.shared_memory`` blocks (planned by
+:class:`~repro.runtime.simulator.ShmBatchLayout`) and ship back only a
+compact header plus per-run scalars -- result payloads are never
 pickled.  A :class:`SharedResultArena` owns block lifecycle
 (create-in-worker, attach/unlink-in-parent, crash-safe sweep of
 orphaned blocks), and dispatch is *work-stealing*: each worker slot
@@ -59,6 +43,13 @@ since runs within a group are independent).  The fallback ladder --
 shm pool, pickle pool, in-process serial -- keeps results bit-identical
 at every rung; only the dispatch label (e.g. ``cross-run-shm(4
 batches, max R=16, steals=1)``) records which rung ran.
+
+:class:`ShardedBackend` wraps one of the two executors for
+distribution: invocation ``k`` of ``N`` owns the cells whose rank in
+key order is ``k mod N``, spills its finished shard to a shared
+directory, and -- once every shard file is present -- merges them into
+the one bit-identical result a serial run would have produced.  Shards
+can run in any order, on any host that shares the spill directory.
 """
 
 from __future__ import annotations
@@ -70,13 +61,10 @@ import os
 import queue
 import re
 import statistics
-import time
 import warnings
 import weakref
-from collections import deque
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -86,7 +74,7 @@ except Exception:  # pragma: no cover - exercised only without the module
     _shared_memory = None
 
 from ..runtime.simulator import ShmBatchLayout
-from ..telemetry import DEFAULT_SIZE_EDGES, count, observe
+from ..telemetry import count
 from .aggregate import SweepResult
 from .cache import (
     SWEEP_SCHEMA_VERSION,
@@ -102,8 +90,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
 __all__ = [
     "SweepBackend",
     "SerialBackend",
-    "MultiprocessingBackend",
-    "AsyncBackend",
     "ShardedBackend",
     "ShmCrossRunBackend",
     "SharedResultArena",
@@ -117,16 +103,12 @@ __all__ = [
 ]
 
 #: Valid ``dispatch_mode`` values: ``auto`` consults
-#: :meth:`MultiprocessingBackend._pool_decision`; ``serial`` forces
-#: in-process execution; ``pool`` forces worker processes even where a
-#: pool cannot win (1 usable CPU), with a warning -- the knob that
-#: makes pool code paths testable on single-CPU CI boxes; ``shm``
-#: forces the shared-memory cross-run pool (same warning on one CPU)
-#: and implies ``cross_run=True`` in :func:`~repro.sweep.run_sweep`.
-DISPATCH_MODES = ("auto", "serial", "pool", "shm")
+#: :meth:`ShmCrossRunBackend._pool_decision`; ``serial`` forces
+#: in-process execution; ``shm`` forces the shared-memory cross-run
+#: pool even where it cannot win (1 usable CPU), with a warning -- the
+#: knob that makes pool code paths testable on single-CPU CI boxes.
+DISPATCH_MODES = ("auto", "serial", "shm")
 
-CellRunner = Callable[["CellSpec"], "CellResult"]
-BatchRunner = Callable[[list["CellSpec"]], list["CellResult"]]
 #: Cross-run group runner: a batch-compatible cell group in, results
 #: (in group order) out -- :func:`~repro.sweep.engine.run_cell_many`.
 ManyRunner = Callable[[list["CellSpec"]], list["CellResult"]]
@@ -147,10 +129,14 @@ def _batch_groups(cells: Sequence["CellSpec"]) -> list[list["CellSpec"]]:
     return list(groups.values())
 
 
-def _cross_run_label(groups: Sequence[Sequence["CellSpec"]], suffix: str = "") -> str:
+def _cross_run_label(
+    groups: Sequence[Sequence["CellSpec"]],
+    prefix: str = "cross-run",
+    suffix: str = "",
+) -> str:
     """Dispatch label recording the cross-run batch structure."""
     max_r = max((len(group) for group in groups), default=0)
-    return f"cross-run({len(groups)} batches, max R={max_r}{suffix})"
+    return f"{prefix}({len(groups)} batches, max R={max_r}{suffix})"
 
 
 def grid_fingerprint(cells: Sequence["CellSpec"]) -> str:
@@ -180,7 +166,7 @@ def _sorted_result(
     results: Sequence["CellResult"],
     trace_detail: str,
     workers: int,
-    dispatch: str = "serial",
+    dispatch: str,
 ) -> SweepResult:
     return SweepResult(
         cells=tuple(sorted(results, key=lambda result: result.key)),
@@ -239,37 +225,25 @@ def _usable_cpus() -> int:
 
 
 class SweepBackend:
-    """Base execution strategy; subclasses override :meth:`execute`.
+    """Base execution strategy: in-process cross-run groups.
 
     ``workers`` is the parallelism the backend reports into
-    ``SweepResult.workers`` (1 for serial execution).  ``batch_size``
-    switches the engine to :meth:`execute_batch`: cells are grouped
-    into batches of that size and each batch runs as *one* dispatch
-    through a shared round kernel (see
-    :func:`~repro.sweep.engine.run_cell_batch`), which amortizes
-    process dispatch and buffer setup over many cheap cells.
+    ``SweepResult.workers`` (1 for in-process execution).
     """
 
     workers: int = 1
-    batch_size: int | None = None
-    #: How the last :meth:`execute`/:meth:`execute_batch` actually
-    #: dispatched its cells; copied into ``SweepResult.dispatch``.
-    dispatch: str = "serial"
-    #: Execution-strategy override consulted by pooled backends; one of
-    #: :data:`DISPATCH_MODES`.
+    #: How the last :meth:`execute_many` actually dispatched its cells;
+    #: copied into ``SweepResult.dispatch``.
+    dispatch: str = _cross_run_label(())
+    #: Execution-strategy override consulted by the pooled backend; one
+    #: of :data:`DISPATCH_MODES`.
     dispatch_mode: str = "auto"
     #: Optional ``callable(CellResult)`` invoked in the parent process
-    #: as results become available.  Granularity is a backend property:
-    #: per cell for serial execution, per chunk for the async
-    #: dispatcher, on completion for ``pool.map``-style backends (the
-    #: engine reports any unreported results after ``execute`` either
-    #: way, so callers always observe every result exactly once).
+    #: as results become available: per group in-process, per finished
+    #: batch from the pool (the engine reports any unreported results
+    #: after ``execute_many`` either way, so callers always observe
+    #: every result exactly once).
     on_result: Callable[["CellResult"], None] | None = None
-
-    @property
-    def wants_batches(self) -> bool:
-        """Whether the engine should hand this backend a batch runner."""
-        return self.batch_size is not None
 
     def _emit(self, results: Sequence["CellResult"]) -> None:
         """Report freshly finished results to :attr:`on_result`."""
@@ -281,40 +255,14 @@ class SweepBackend:
         """The subset of the grid this invocation executes."""
         return cells
 
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        raise NotImplementedError
-
-    def execute_batch(
-        self, cells: Sequence["CellSpec"], batch_runner: BatchRunner
-    ) -> list["CellResult"]:
-        """Run the cells in batches of :attr:`batch_size` in-process.
-
-        The default executes each batch serially; pooled backends
-        override this to dispatch whole batches to workers.  Results
-        are bit-identical to per-cell :meth:`execute` -- batching only
-        changes how work is packaged.
-        """
-        size = self.batch_size or len(cells) or 1
-        self.dispatch = "batched-serial"
-        results: list["CellResult"] = []
-        for start in range(0, len(cells), size):
-            batch_results = batch_runner(list(cells[start : start + size]))
-            results.extend(batch_results)
-            self._emit(batch_results)
-        return results
-
     def execute_many(
         self, cells: Sequence["CellSpec"], many_runner: ManyRunner
     ) -> list["CellResult"]:
         """Run the cells as cross-run groups, one group per dispatch.
 
         The default executes each ``batch_key`` group in-process
-        through the stacked ``(R, n)`` engine; pooled backends
-        override this to ship whole groups to workers.  Results are
-        bit-identical to :meth:`execute` -- only the packaging (and
-        the per-round vectorization within a group) changes.
+        through the stacked ``(R, n)`` engine; the pooled backend
+        overrides this to ship whole groups to workers.
         """
         groups = _batch_groups(cells)
         self.dispatch = _cross_run_label(groups)
@@ -336,163 +284,7 @@ class SweepBackend:
 
 
 class SerialBackend(SweepBackend):
-    """In-process execution, one cell after another."""
-
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        self.dispatch = "serial"
-        results: list["CellResult"] = []
-        for cell in cells:
-            result = runner(cell)
-            results.append(result)
-            self._emit((result,))
-        return results
-
-
-class MultiprocessingBackend(SweepBackend):
-    """Chunked execution across a local ``multiprocessing`` pool.
-
-    ``chunk_size`` defaults to ~4 chunks per worker, balancing
-    scheduling overhead against stragglers.  Grids of one cell (or a
-    single worker) run inline -- a pool cannot help there.
-    ``batch_size`` dispatches whole in-worker batches instead of
-    single cells: each batch is one pool task running ``batch_size``
-    cells on a shared round kernel, the fix for grids whose cells are
-    too cheap to amortize per-cell dispatch.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        chunk_size: int | None = None,
-        batch_size: int | None = None,
-        dispatch_mode: str = "auto",
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if dispatch_mode not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch_mode must be one of {DISPATCH_MODES}, "
-                f"got {dispatch_mode!r}"
-            )
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.batch_size = batch_size
-        self.dispatch_mode = dispatch_mode
-
-    def _pool_decision(self, tasks: int, batched: bool) -> tuple[bool, str]:
-        """Whether a pool can win for ``tasks`` dispatch units, and why.
-
-        A single usable CPU is the canonical lost cause: worker
-        processes merely time-slice the same core, so every fork,
-        pickle and IPC round-trip is pure overhead (observed as the
-        ``batched_speedup = 0.9`` regression on 1-CPU CI runners).
-        Those invocations auto-fall back to in-process dispatch; the
-        label records the decision in ``SweepResult.dispatch``.
-
-        :attr:`dispatch_mode` overrides the heuristic: ``serial``
-        always runs in-process, ``pool`` always dispatches to workers
-        -- warning (instead of silently falling back) when only one
-        usable CPU exists, so pool code paths stay testable on 1-CPU
-        CI boxes at an explicitly acknowledged cost.
-        """
-        label = "batched-" if batched else ""
-        if self.dispatch_mode == "serial":
-            return False, f"{label}serial (forced)"
-        if tasks < 1:
-            return False, f"{label}serial"
-        if self.dispatch_mode in ("pool", "shm"):
-            cpus = _usable_cpus()
-            if cpus < 2:
-                # Counted so the CLI can surface a one-line warning
-                # summary after the sweep -- RuntimeWarnings otherwise
-                # vanish under pytest/capture harnesses.
-                count("sweep.pool.forced_one_cpu")
-                warnings.warn(
-                    f"dispatch mode {self.dispatch_mode!r} forced with "
-                    f"{self.workers} workers on {cpus} usable cpu: the "
-                    "pool cannot win here (fork/pickle/IPC overhead with "
-                    "nothing to overlap); results are identical but slower",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return True, f"{label}parallel (forced on {cpus} usable cpu)"
-            return True, f"{label}parallel (forced)"
-        if self.workers <= 1 or tasks <= 1:
-            return False, f"{label}serial"
-        cpus = _usable_cpus()
-        if cpus < 2:
-            return False, (
-                f"{label}serial (auto-fallback: {self.workers} workers "
-                f"on {cpus} usable cpu)"
-            )
-        return True, f"{label}parallel"
-
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        use_pool, self.dispatch = self._pool_decision(len(cells), batched=False)
-        if not use_pool:
-            return [runner(cell) for cell in cells]
-        chunk_size = self.chunk_size
-        if chunk_size is None:
-            chunk_size = max(1, math.ceil(len(cells) / (self.workers * 4)))
-        with multiprocessing.Pool(processes=self.workers) as pool:
-            return pool.map(runner, cells, chunksize=chunk_size)
-
-    def execute_batch(
-        self, cells: Sequence["CellSpec"], batch_runner: BatchRunner
-    ) -> list["CellResult"]:
-        size = self.batch_size or len(cells) or 1
-        batches = [
-            list(cells[start : start + size])
-            for start in range(0, len(cells), size)
-        ]
-        use_pool, self.dispatch = self._pool_decision(len(batches), batched=True)
-        if not use_pool:
-            return [
-                result for batch in batches for result in batch_runner(batch)
-            ]
-        with multiprocessing.Pool(processes=self.workers) as pool:
-            return [
-                result
-                for batch_results in pool.map(batch_runner, batches, chunksize=1)
-                for result in batch_results
-            ]
-
-    def execute_many(
-        self, cells: Sequence["CellSpec"], many_runner: ManyRunner
-    ) -> list["CellResult"]:
-        """Dispatch whole cross-run groups to pool workers.
-
-        Each ``batch_key`` group is one pool task advancing its stack
-        in a worker; the pool decision treats groups as the dispatch
-        unit (a single group has nothing to overlap, so it runs
-        inline).  Falls back to the in-process default wherever a pool
-        cannot win.
-        """
-        groups = _batch_groups(cells)
-        use_pool, _ = self._pool_decision(len(groups), batched=True)
-        if not use_pool:
-            self.dispatch = _cross_run_label(groups)
-            results: list["CellResult"] = []
-            for group in groups:
-                group_results = many_runner(group)
-                results.extend(group_results)
-                self._emit(group_results)
-            return results
-        self.dispatch = _cross_run_label(groups, ", parallel")
-        with multiprocessing.Pool(processes=self.workers) as pool:
-            return [
-                result
-                for group_results in pool.map(many_runner, groups, chunksize=1)
-                for result in group_results
-            ]
+    """In-process execution, one cross-run group after another."""
 
 
 #: Cost-model round count for oracle-terminated cells (``rounds=None``):
@@ -506,8 +298,8 @@ _NOMINAL_ROUNDS = 40
 #: two-phase protocol runs every round through the scalar engine; the
 #: witness family adds relay collection and per-pid witness folds on
 #: top of that.  Ratios are calibrated from the committed ledger's
-#: per-family sweep timings -- only the ordering matters, the async
-#: dispatcher fits the absolute scale at runtime.
+#: per-family sweep timings -- only the ordering matters (it drives the
+#: stealing dispatcher's LPT seeding and victim choice).
 _FAMILY_COST_FACTORS: dict[str, float] = {
     "bonomi": 1.0,
     "tseng": 2.5,
@@ -539,7 +331,7 @@ class CostModel:
     The static model prices a cell at ``n^2 * rounds`` weighted by
     hand-tuned per-family factors and a partial-topology multiplier --
     only the *ordering* between cheap and expensive cells matters (the
-    async dispatcher fits seconds-per-cost-unit at runtime).
+    stealing dispatcher compares costs, never converts them to time).
 
     :meth:`fit` replaces the hand-tuned family weights with ones
     measured from a :class:`~repro.sweep.service.SweepJournal`'s
@@ -651,224 +443,17 @@ def estimate_cell_cost(cell: "CellSpec") -> float:
     Messaging and MSR fold work scale roughly with ``n^2 * rounds``,
     weighted by per-family and per-topology factors (a witness-family
     cell on a ring costs several of its bonomi full-mesh neighbours);
-    the absolute scale is irrelevant (the dispatcher calibrates
-    seconds-per-cost-unit from observed chunk timings), only the
-    ordering between cheap and expensive cells matters.  ``n=None``
+    the absolute scale is irrelevant, only the ordering between cheap
+    and expensive cells matters.  ``n=None``
     resolves to the model's Table 2 minimum; unknown models fall back
     to a small constant so malformed cells (which error out instantly)
     are treated as cheap, and unknown families take no multiplier.
-    Delegates to the static :class:`CostModel`; dispatchers accept a
-    :meth:`CostModel.fit`-calibrated instance for measured weights.
+    Delegates to the static :class:`CostModel`;
+    :class:`ShmCrossRunBackend` accepts a :meth:`CostModel.fit`-calibrated
+    instance for measured weights.
     """
     return _STATIC_COST_MODEL.estimate(cell)
 
-
-class _AdaptiveChunker:
-    """Forms dispatch chunks from a work queue, heaviest cells first.
-
-    Until the first timing observation lands, chunks are singletons
-    (calibration doubles as LPT scheduling of the most expensive
-    cells).  Afterwards each chunk is filled greedily until its
-    estimated duration reaches ``target_seconds`` under the current
-    seconds-per-cost-unit model (an EWMA over observed chunk timings),
-    so a cell expensive enough to hit the target alone ships alone
-    while runs of cheap cells coalesce into larger and larger chunks.
-    """
-
-    def __init__(
-        self,
-        cells: Sequence["CellSpec"],
-        target_seconds: float,
-        max_chunk: int,
-        cost_model: CostModel | None = None,
-    ) -> None:
-        self._estimate = (cost_model or _STATIC_COST_MODEL).estimate
-        self._queue: deque["CellSpec"] = deque(
-            sorted(cells, key=self._estimate, reverse=True)
-        )
-        self._target = target_seconds
-        self._max_chunk = max_chunk
-        self._sec_per_cost: float | None = None
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def cost_of(self, chunk: Sequence["CellSpec"]) -> float:
-        return math.fsum(self._estimate(cell) for cell in chunk)
-
-    def next_chunk(self) -> list["CellSpec"] | None:
-        """The next dispatch unit, or ``None`` when the queue is dry."""
-        if not self._queue:
-            return None
-        chunk = [self._queue.popleft()]
-        if self._sec_per_cost is None:
-            observe("sweep.chunk.size", float(len(chunk)), DEFAULT_SIZE_EDGES)
-            return chunk
-        budget = self._target - self._estimate(chunk[0]) * self._sec_per_cost
-        while self._queue and len(chunk) < self._max_chunk:
-            eta = self._estimate(self._queue[0]) * self._sec_per_cost
-            if eta > budget:
-                break
-            chunk.append(self._queue.popleft())
-            budget -= eta
-        observe("sweep.chunk.size", float(len(chunk)), DEFAULT_SIZE_EDGES)
-        return chunk
-
-    def observe(self, cost: float, seconds: float) -> None:
-        """Fold one completed chunk's worker-side timing into the model."""
-        rate = seconds / max(cost, 1.0)
-        if self._sec_per_cost is None:
-            self._sec_per_cost = rate
-        else:
-            self._sec_per_cost = 0.5 * self._sec_per_cost + 0.5 * rate
-
-
-def _run_chunk(runner: CellRunner, cells: list["CellSpec"]) -> list["CellResult"]:
-    """Apply a per-cell runner across one chunk (module level: pickles)."""
-    return [runner(cell) for cell in cells]
-
-
-def _timed_chunk(
-    chunk_runner: BatchRunner, cells: list["CellSpec"]
-) -> tuple[float, list["CellResult"]]:
-    """Run a chunk in a worker, returning its compute time alongside.
-
-    Timing inside the worker (rather than submit-to-callback in the
-    parent) keeps queueing delay out of the cost model.
-    """
-    start = time.perf_counter()
-    results = chunk_runner(cells)
-    return time.perf_counter() - start, results
-
-
-class AsyncBackend(MultiprocessingBackend):
-    """Work-queue pool dispatcher with adaptive dynamic chunking.
-
-    Replaces the static ``batch_size`` partition of
-    :class:`MultiprocessingBackend`: the parent keeps the pool primed
-    with one spare chunk beyond the worker count, forms each next chunk
-    only when a slot frees (so chunk sizing reacts to the timings of
-    everything already finished), and folds results chunk by chunk
-    through :attr:`SweepBackend.on_result` -- the streaming spine for
-    live aggregation, progress lines and resume journals.  Each chunk
-    runs through one shared round kernel in its worker (see
-    :func:`~repro.sweep.engine.run_cell_batch`), so the cheap-cell
-    dispatch overhead the ``sweep_64`` ledger flagged is amortized
-    twice: fewer pool tasks, and fewer kernel setups.
-
-    Where a pool cannot win (``_pool_decision``: one usable CPU, one
-    task, forced serial) execution falls back inline on static
-    ``inline_batch``-sized chunks -- the batched-serial fast path --
-    still emitting per chunk.  Results are bit-identical to every other
-    backend for any worker count, chunk shape or timing jitter: cells
-    are pure functions of their spec, and the engine sorts by cell key.
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        dispatch_mode: str = "auto",
-        target_chunk_seconds: float = 0.15,
-        max_chunk: int = 32,
-        inline_batch: int = 16,
-        cost_model: CostModel | None = None,
-    ) -> None:
-        super().__init__(workers, dispatch_mode=dispatch_mode)
-        if target_chunk_seconds <= 0:
-            raise ValueError(
-                f"target_chunk_seconds must be positive, got "
-                f"{target_chunk_seconds}"
-            )
-        if max_chunk < 1:
-            raise ValueError(f"max_chunk must be at least 1, got {max_chunk}")
-        if inline_batch < 1:
-            raise ValueError(
-                f"inline_batch must be at least 1, got {inline_batch}"
-            )
-        self.target_chunk_seconds = target_chunk_seconds
-        self.max_chunk = max_chunk
-        self.inline_batch = inline_batch
-        #: Optional :meth:`CostModel.fit`-calibrated estimator for LPT
-        #: ordering and chunk sizing; ``None`` uses the static weights.
-        self.cost_model = cost_model
-
-    @property
-    def wants_batches(self) -> bool:
-        """Chunks always run through a shared in-worker round kernel."""
-        return True
-
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        return self._dispatch(cells, partial(_run_chunk, runner))
-
-    def execute_batch(
-        self, cells: Sequence["CellSpec"], batch_runner: BatchRunner
-    ) -> list["CellResult"]:
-        return self._dispatch(cells, batch_runner)
-
-    def _dispatch(
-        self, cells: Sequence["CellSpec"], chunk_runner: BatchRunner
-    ) -> list["CellResult"]:
-        use_pool, label = self._pool_decision(len(cells), batched=False)
-        self.dispatch = f"async-{label}"
-        if not use_pool:
-            results: list["CellResult"] = []
-            for start in range(0, len(cells), self.inline_batch):
-                chunk_results = chunk_runner(
-                    list(cells[start : start + self.inline_batch])
-                )
-                results.extend(chunk_results)
-                self._emit(chunk_results)
-            return results
-
-        chunker = _AdaptiveChunker(
-            cells,
-            self.target_chunk_seconds,
-            self.max_chunk,
-            cost_model=self.cost_model,
-        )
-        completions: queue.SimpleQueue = queue.SimpleQueue()
-        results = []
-        in_flight = 0
-        with multiprocessing.Pool(processes=self.workers) as pool:
-
-            def submit() -> bool:
-                nonlocal in_flight
-                chunk = chunker.next_chunk()
-                if chunk is None:
-                    return False
-                cost = chunker.cost_of(chunk)
-                pool.apply_async(
-                    _timed_chunk,
-                    (chunk_runner, chunk),
-                    callback=lambda timed, c=cost: completions.put(
-                        (c, timed, None)
-                    ),
-                    error_callback=lambda exc, c=cost: completions.put(
-                        (c, None, exc)
-                    ),
-                )
-                in_flight += 1
-                return True
-
-            # One spare chunk beyond the workers keeps every slot busy
-            # while the parent folds a finished chunk's results.
-            while in_flight <= self.workers and submit():
-                pass
-            while in_flight:
-                cost, timed, error = completions.get()
-                in_flight -= 1
-                if error is not None:
-                    # Pool.__exit__ terminates the outstanding work.
-                    raise error
-                seconds, chunk_results = timed
-                chunker.observe(cost, seconds)
-                results.extend(chunk_results)
-                self._emit(chunk_results)
-                while in_flight <= self.workers and submit():
-                    pass
-        return results
 
 
 #: Shared-memory blocks above this size ride the pickle fallback: one
@@ -1368,7 +953,8 @@ class _StealingQueues:
         return batch[:half]
 
 
-class ShmCrossRunBackend(MultiprocessingBackend):
+
+class ShmCrossRunBackend(SweepBackend):
     """Zero-copy parallel cross-run execution with work stealing.
 
     The pooled counterpart of :meth:`SweepBackend.execute_many`: whole
@@ -1379,10 +965,10 @@ class ShmCrossRunBackend(MultiprocessingBackend):
     per worker slot, a finishing slot is refilled from its own queue
     or by stealing the largest half of the heaviest victim's biggest
     pending batch.  The fallback ladder keeps every rung
-    bit-identical: no usable pool drops to in-process serial
-    cross-run; no usable ``shared_memory`` (or an over-cap block)
-    drops that batch to the pickle rung.  The dispatch label records
-    the rung and the steal count, e.g.
+    bit-identical: no usable pool (:meth:`_pool_decision`) drops to
+    in-process serial cross-run; no usable ``shared_memory`` (or an
+    over-cap block) drops that batch to the pickle rung.  The dispatch
+    label records the rung and the steal count, e.g.
     ``cross-run-shm(4 batches, max R=16, steals=1)``.
     """
 
@@ -1393,7 +979,15 @@ class ShmCrossRunBackend(MultiprocessingBackend):
         cost_model: CostModel | None = None,
         max_block_bytes: int = _DEFAULT_MAX_BLOCK_BYTES,
     ) -> None:
-        super().__init__(workers, dispatch_mode=dispatch_mode)
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        if dispatch_mode not in DISPATCH_MODES:
+            raise ValueError(
+                f"dispatch_mode must be one of {DISPATCH_MODES}, "
+                f"got {dispatch_mode!r}"
+            )
+        self.workers = workers
+        self.dispatch_mode = dispatch_mode
         self.cost_model = cost_model or _STATIC_COST_MODEL
         self.max_block_bytes = max_block_bytes
         #: Counters of the last :meth:`execute_many` arena (``None``
@@ -1402,23 +996,51 @@ class ShmCrossRunBackend(MultiprocessingBackend):
         #: Steal count of the last pooled dispatch.
         self.last_steals = 0
 
+    def _pool_decision(self, tasks: int) -> bool:
+        """Whether a pool can win for ``tasks`` dispatch units.
+
+        A single usable CPU is the canonical lost cause: worker
+        processes merely time-slice the same core, so every fork,
+        pickle and IPC round-trip is pure overhead.  Those invocations
+        (and single-worker or single-task ones) run in-process; the
+        ``cross-run(...)`` label records the decision.
+
+        :attr:`dispatch_mode` overrides the heuristic: ``serial``
+        always runs in-process, ``shm`` always dispatches to workers
+        -- warning (instead of silently falling back) when only one
+        usable CPU exists, so pool code paths stay testable on 1-CPU
+        CI boxes at an explicitly acknowledged cost.
+        """
+        if self.dispatch_mode == "serial" or tasks < 1:
+            return False
+        if self.dispatch_mode == "shm":
+            cpus = _usable_cpus()
+            if cpus < 2:
+                # Counted so the CLI can surface a one-line warning
+                # summary after the sweep -- RuntimeWarnings otherwise
+                # vanish under pytest/capture harnesses.
+                count("sweep.pool.forced_one_cpu")
+                warnings.warn(
+                    f"dispatch mode 'shm' forced with {self.workers} "
+                    f"workers on {cpus} usable cpu: the pool cannot win "
+                    "here (fork/pickle/IPC overhead with nothing to "
+                    "overlap); results are identical but slower",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            return True
+        return self.workers > 1 and tasks > 1 and _usable_cpus() >= 2
+
     def execute_many(
         self, cells: Sequence["CellSpec"], many_runner: ManyRunner
     ) -> list["CellResult"]:
-        groups = _batch_groups(cells)
         # Batches split by run index, so the parallelism bound is the
         # cell count, not the group count -- one big group still fans
         # out across the pool.
-        use_pool, _ = self._pool_decision(len(cells), batched=True)
-        if not use_pool:
-            self.dispatch = _cross_run_label(groups)
-            results: list["CellResult"] = []
-            for group in groups:
-                group_results = many_runner(group)
-                results.extend(group_results)
-                self._emit(group_results)
-            return results
+        if not self._pool_decision(len(cells)):
+            return super().execute_many(cells, many_runner)
 
+        groups = _batch_groups(cells)
         arena = SharedResultArena(max_block_bytes=self.max_block_bytes)
         rung = "shm" if arena.enabled else "pickle"
         queues = _StealingQueues(
@@ -1467,10 +1089,10 @@ class ShmCrossRunBackend(MultiprocessingBackend):
         finally:
             self.last_arena_stats = arena.close()
             self.last_steals = queues.steals
-        max_r = max((len(group) for group in groups), default=0)
-        self.dispatch = (
-            f"cross-run-{rung}({len(groups)} batches, "
-            f"max R={max_r}, steals={queues.steals})"
+        self.dispatch = _cross_run_label(
+            groups,
+            prefix=f"cross-run-{rung}",
+            suffix=f", steals={queues.steals}",
         )
         return results
 
@@ -1482,9 +1104,10 @@ class ShardedBackend(SweepBackend):
     rank in the grid's key order is congruent to ``shard_index`` modulo
     ``shard_count`` -- a pure function of the grid, independent of cell
     order or cache state, so concurrent invocations never overlap.  The
-    owned cells run through ``inner`` (serial by default, a
-    :class:`MultiprocessingBackend` when ``workers > 1``), the shard's
-    results spill to ``spill_dir/shard-IIII-of-NNNN.json``, and
+    owned cells run through an inner :class:`ShmCrossRunBackend` with
+    ``workers`` workers (in-process when ``workers`` is 1), which
+    follows this backend's :attr:`dispatch_mode`; the shard's results
+    spill to ``spill_dir/shard-IIII-of-NNNN.json``, and
     :meth:`finalize` returns the merged full-grid result once all
     shards are present -- or a partial result (``complete=False``)
     holding only this shard's cells while siblings are outstanding.
@@ -1496,8 +1119,6 @@ class ShardedBackend(SweepBackend):
         shard_count: int,
         spill_dir: str | Path,
         workers: int = 1,
-        chunk_size: int | None = None,
-        batch_size: int | None = None,
     ) -> None:
         if shard_count < 1:
             raise ValueError(f"shard_count must be at least 1, got {shard_count}")
@@ -1509,21 +1130,13 @@ class ShardedBackend(SweepBackend):
             raise ValueError(
                 f"shard_count must be at most 9999, got {shard_count}"
             )
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.shard_index = shard_index
         self.shard_count = shard_count
         self.spill_dir = Path(spill_dir)
-        self.workers = workers
-        self.batch_size = batch_size
+        self.workers = max(workers, 1)
         self._grid_fingerprint: str | None = None
         self._grid_size: int | None = None
-        self._inner: SweepBackend = (
-            MultiprocessingBackend(workers, chunk_size, batch_size)
-            if workers > 1
-            else SerialBackend()
-        )
-        self._inner.batch_size = batch_size
+        self._inner = ShmCrossRunBackend(self.workers)
 
     def select(self, cells: list["CellSpec"]) -> list["CellSpec"]:
         # The full grid's identity is stamped into the spill file so a
@@ -1537,23 +1150,10 @@ class ShardedBackend(SweepBackend):
             if rank % self.shard_count == self.shard_index
         ]
 
-    def execute(
-        self, cells: Sequence["CellSpec"], runner: CellRunner
-    ) -> list["CellResult"]:
-        results = self._inner.execute(cells, runner)
-        self.dispatch = f"sharded({self._inner.dispatch})"
-        return results
-
-    def execute_batch(
-        self, cells: Sequence["CellSpec"], batch_runner: BatchRunner
-    ) -> list["CellResult"]:
-        results = self._inner.execute_batch(cells, batch_runner)
-        self.dispatch = f"sharded({self._inner.dispatch})"
-        return results
-
     def execute_many(
         self, cells: Sequence["CellSpec"], many_runner: ManyRunner
     ) -> list["CellResult"]:
+        self._inner.dispatch_mode = self.dispatch_mode
         results = self._inner.execute_many(cells, many_runner)
         self.dispatch = f"sharded({self._inner.dispatch})"
         return results
@@ -1592,13 +1192,8 @@ class ShardedBackend(SweepBackend):
             if not self.shard_path(index).exists()
         ]
         if missing:
-            partial = _sorted_result(results, trace_detail, self.workers)
-            return SweepResult(
-                cells=partial.cells,
-                trace_detail=trace_detail,
-                workers=self.workers,
-                complete=False,
-                dispatch=self.dispatch,
+            return replace(
+                super().finalize(results, trace_detail, probe), complete=False
             )
         return merge_shards(self.spill_dir)
 

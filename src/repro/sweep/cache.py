@@ -34,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -292,7 +293,11 @@ class CellStore:
             "probe": probe,
             "result": result_to_dict(result),
         }
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+        # Unique per writer thread, not just per process: two threads
+        # saving the same cell must not share (and race on) one temp.
+        tmp = path.with_name(
+            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+        )
         text = json.dumps(payload, sort_keys=True)
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)

@@ -1,26 +1,31 @@
 """Sweep orchestration: cells in, cached/backed execution, result out.
 
-Each grid cell is executed by the module-level :func:`run_cell` (module
-level so it pickles), which materializes the cell's config through its
-scenario, runs the simulator -- by default on the trace-lite fast path
--- and condenses the outcome into a :class:`CellResult` of plain
-primitives, optionally augmented by a named probe.
+Every sweep runs through the cross-run engine: :func:`run_cell_many`
+(module level so it pickles) takes a group of cells that share a
+:attr:`~repro.sweep.grid.CellSpec.batch_key`, materializes their
+configs through their scenarios, advances them as one stacked
+``(R, n)`` simulation -- by default on the trace-lite fast path -- and
+condenses each run into a :class:`CellResult` of plain primitives,
+optionally augmented by a named probe.  :func:`run_cell` executes one
+cell on its own; it is the per-cell reference every cross-run result
+is bit-identical to, and the per-cell fallback inside
+:func:`run_cell_many`.
 
-:func:`run_sweep` itself no longer knows how cells run: execution is
-delegated to a pluggable :class:`~repro.sweep.backends.SweepBackend`
-(serial, multiprocessing pool, or deterministic shards for fanning a
-grid across hosts), and every backend consults an optional
-content-addressed :class:`~repro.sweep.cache.CellStore` before
-executing a cell and writes through after.
+:func:`run_sweep` itself does not know where groups run: execution is
+delegated to a :class:`~repro.sweep.backends.SweepBackend` (in-process,
+the shared-memory pool, or deterministic shards for fanning a grid
+across hosts), and every sweep consults an optional content-addressed
+:class:`~repro.sweep.cache.CellStore` before executing a cell and
+writes through after.
 
 Determinism contract: a cell's result is a pure function of the cell.
 Every stochastic component draws from ``derive_rng(seed, ...)`` streams
 seeded by stable strings, so worker processes reproduce bit-identical
-results regardless of start method, worker count, chunking, scheduling
-order, shard assignment or cache state.  :func:`run_sweep` additionally
-sorts results by cell key, making the aggregate independent of the
-execution strategy.  The determinism, backend and cache test suites
-assert these properties.
+results regardless of start method, worker count, group splitting,
+scheduling order, shard assignment or cache state.  :func:`run_sweep`
+additionally sorts results by cell key, making the aggregate
+independent of the execution strategy.  The determinism, backend and
+cache test suites assert these properties against :func:`run_cell`.
 """
 
 from __future__ import annotations
@@ -62,8 +67,6 @@ from ..runtime.simulator import (
 from .aggregate import SweepResult
 from .backends import (
     DISPATCH_MODES,
-    AsyncBackend,
-    MultiprocessingBackend,
     SerialBackend,
     ShardedBackend,
     ShmCrossRunBackend,
@@ -79,7 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
 __all__ = [
     "CellResult",
     "run_cell",
-    "run_cell_batch",
     "run_cell_many",
     "run_sweep",
 ]
@@ -221,12 +223,13 @@ def run_cell(
 ) -> CellResult:
     """Execute one cell and condense its outcome.
 
-    Runs in worker processes during parallel sweeps; everything it
-    touches must be importable and picklable.  ``probe`` names a
+    The per-cell reference of the cross-run engine and its fallback
+    for groups a family rejects mid-run (inside :func:`run_cell_many`,
+    possibly in a worker process).  ``probe`` names a
     registered :class:`~repro.sweep.probes.Probe` whose output lands in
     ``CellResult.extras``.  ``kernel`` optionally shares one
     :class:`~repro.runtime.kernel.RoundKernel` across the cells of a
-    batch (results are identical with or without it).  ``telemetry``
+    group (results are identical with or without it).  ``telemetry``
     activates the run's tracing session in whichever process this
     lands; the drained kernel sample counters travel back on
     ``CellResult.metrics``.
@@ -269,70 +272,6 @@ def run_cell(
     return result
 
 
-def _run_cell_cached(
-    cell: CellSpec,
-    trace_detail: TraceDetail = "lite",
-    probe: str | None = None,
-    store: CellStore | None = None,
-    kernel: RoundKernel | None = None,
-    telemetry: TelemetryConfig | None = None,
-) -> CellResult:
-    """Cache-through cell runner (module level so it pickles).
-
-    The double-check against the store matters: workers of concurrent
-    shard invocations may have produced the cell since the parent
-    filtered its misses, and writing through here (not in the parent)
-    is what makes interrupted sweeps resumable.
-    """
-    cached = store.load(cell, trace_detail, probe)
-    if cached is not None:
-        return cached
-    result = run_cell(
-        cell,
-        trace_detail=trace_detail,
-        probe=probe,
-        kernel=kernel,
-        telemetry=telemetry,
-    )
-    store.save(result, trace_detail, probe)
-    return result
-
-
-def run_cell_batch(
-    cells: list[CellSpec],
-    trace_detail: TraceDetail = "lite",
-    probe: str | None = None,
-    store: CellStore | None = None,
-    telemetry: TelemetryConfig | None = None,
-) -> list[CellResult]:
-    """Execute a batch of cells in-process through one shared kernel.
-
-    The unit of work of batched backends (module level so it pickles):
-    one dispatch runs many cells back to back, reusing the round
-    kernel's scratch buffers and amortizing process dispatch overhead
-    over the whole batch.  Results are bit-identical to per-cell
-    execution -- the kernel carries no simulation state between cells.
-    """
-    if telemetry is not None:
-        activate(telemetry)
-    kernel = RoundKernel()
-    if store is None:
-        return [
-            run_cell(cell, trace_detail=trace_detail, probe=probe, kernel=kernel)
-            for cell in cells
-        ]
-    return [
-        _run_cell_cached(
-            cell,
-            trace_detail=trace_detail,
-            probe=probe,
-            store=store,
-            kernel=kernel,
-        )
-        for cell in cells
-    ]
-
-
 def run_cell_many(
     cells: list[CellSpec],
     trace_detail: TraceDetail = "lite",
@@ -371,9 +310,10 @@ def run_cell_many(
     pending: list[int] = []
     for idx, cell in enumerate(cells):
         if store is not None:
-            # Same double-check as _run_cell_cached: concurrent shard
-            # invocations may have produced the cell since the parent
-            # filtered its misses.
+            # The double-check matters: concurrent shard invocations
+            # may have produced the cell since the parent filtered its
+            # misses, and writing through here (not in the parent) is
+            # what makes interrupted sweeps resumable.
             cached = store.load(cell, trace_detail, probe)
             if cached is not None:
                 results[idx] = cached
@@ -453,57 +393,31 @@ def run_cell_many(
 def _resolve_backend(
     backend: SweepBackend | str | None,
     workers: int,
-    chunk_size: int | None,
-    batch_size: int | None = None,
-    dispatch: str = "auto",
-    cross_run: bool = False,
+    dispatch: str,
 ) -> SweepBackend:
     if backend is None:
-        if dispatch == "shm":
-            # Forcing the shared-memory rung needs the stealing
-            # backend at any worker count; _pool_decision owns the
-            # one-CPU warning.
+        if workers > 1 or dispatch == "shm":
+            # The stealing pool degrades rung by rung (pickle pool,
+            # in-process serial) wherever shm or the pool cannot win;
+            # its _pool_decision owns the forced one-CPU warning.
             return ShmCrossRunBackend(max(workers, 1), dispatch_mode=dispatch)
-        if cross_run and workers > 1 and dispatch != "serial":
-            # Parallel cross-run sweeps default to the zero-copy
-            # stealing backend; it degrades rung by rung (pickle pool,
-            # in-process serial) wherever shm or the pool cannot win.
-            return ShmCrossRunBackend(workers, dispatch_mode=dispatch)
-        if dispatch == "pool" and workers <= 1:
-            # Forcing a pool needs a pool-capable backend even at the
-            # default worker count; _pool_decision owns the warning.
-            return MultiprocessingBackend(
-                max(workers, 1), chunk_size, batch_size, dispatch_mode=dispatch
-            )
-        if workers <= 1 and batch_size is None:
-            return SerialBackend()
-        if workers <= 1:
-            serial = SerialBackend()
-            serial.batch_size = batch_size
-            return serial
-        return MultiprocessingBackend(
-            workers, chunk_size, batch_size, dispatch_mode=dispatch
-        )
+        return SerialBackend()
     if isinstance(backend, str):
         if backend == "serial":
-            serial = SerialBackend()
-            serial.batch_size = batch_size
-            return serial
-        if backend == "multiprocessing":
-            return MultiprocessingBackend(
-                max(workers, 1), chunk_size, batch_size, dispatch_mode=dispatch
-            )
-        if backend == "async":
-            return AsyncBackend(max(workers, 1), dispatch_mode=dispatch)
+            return SerialBackend()
         if backend == "sharded":
             raise ValueError(
                 "the sharded backend needs shard parameters; pass a "
                 "repro.sweep.ShardedBackend(shard_index, shard_count, "
-                "spill_dir) instance (CLI: --backend sharded --shard I/N)"
+                "spill_dir) instance (CLI: --shard I/N)"
+            )
+        if backend in ("multiprocessing", "async"):
+            raise ValueError(
+                f"the {backend!r} backend was removed: every sweep runs "
+                "cross-run; pass workers=N for the shared-memory pool"
             )
         raise ValueError(
-            f"unknown backend {backend!r}; known: serial, multiprocessing, "
-            "async, sharded"
+            f"unknown backend {backend!r}; known: serial, sharded"
         )
     if dispatch != "auto":
         backend.dispatch_mode = dispatch
@@ -514,63 +428,48 @@ def run_sweep(
     grid: GridSpec | Iterable[CellSpec],
     workers: int = 1,
     trace_detail: TraceDetail = "lite",
-    chunk_size: int | None = None,
     backend: SweepBackend | str | None = None,
     cache: CellStore | str | Path | None = None,
     probe: str | None = None,
-    batch_size: int | None = None,
     dispatch: str = "auto",
     progress: ProgressCallback | None = None,
     journal: "SweepJournal | None" = None,
-    cross_run: bool = False,
+    cross_run: bool = True,
     telemetry: TelemetryConfig | str | Path | None = None,
 ) -> SweepResult:
     """Run every cell of ``grid`` through a backend, via the cell cache.
 
-    ``workers <= 1`` runs in-process; more workers distribute cells
-    over a ``multiprocessing`` pool in chunks (``chunk_size`` defaults
-    to ~4 chunks per worker).  ``backend`` overrides that default
-    resolution with any :class:`~repro.sweep.backends.SweepBackend`
-    (including :class:`~repro.sweep.backends.ShardedBackend` for
-    multi-invocation sweeps) or one of the names ``"serial"`` /
-    ``"multiprocessing"`` / ``"async"`` (the work-queue dispatcher
-    with adaptive chunking).  ``cache`` -- a
+    Cells are partitioned by :attr:`~repro.sweep.grid.CellSpec.batch_key`
+    and each group advances as one stacked ``(R, n)`` state array (see
+    :func:`run_cell_many`); the result's ``dispatch`` label records the
+    batch structure.  ``workers <= 1`` runs the groups in-process; more
+    workers select the work-stealing shared-memory pool
+    (:class:`~repro.sweep.backends.ShmCrossRunBackend`), which degrades
+    rung by rung (shm, pickle pool, in-process serial) without changing
+    results.  ``backend`` overrides that resolution with any
+    :class:`~repro.sweep.backends.SweepBackend` (including
+    :class:`~repro.sweep.backends.ShardedBackend` for multi-invocation
+    sweeps) or the name ``"serial"``.  ``cache`` -- a
     :class:`~repro.sweep.cache.CellStore` or a directory path -- is
     consulted before executing each cell and written through after.
-    ``batch_size`` switches execution to in-worker batches: one
-    dispatch runs that many cells through a shared round kernel, which
-    amortizes process dispatch on grids of cheap cells (see
-    :func:`run_cell_batch`); when an explicit backend *instance* is
-    passed, the instance's own ``batch_size`` attribute governs
-    batching instead.
 
     ``dispatch`` (one of :data:`~repro.sweep.backends.DISPATCH_MODES`)
-    overrides the pool heuristic of pooled backends: ``serial`` forces
-    in-process execution, ``pool`` forces worker processes even on one
-    usable CPU (with a warning), and ``shm`` forces the zero-copy
-    shared-memory cross-run pool (implying ``cross_run=True``; see
-    :class:`~repro.sweep.backends.ShmCrossRunBackend`).  ``progress``
-    is called as
+    overrides the pool heuristic: ``serial`` forces in-process
+    execution and ``shm`` forces the shared-memory pool even on one
+    usable CPU (with a warning).  ``progress`` is called as
     ``progress(result, done, total)`` for every result exactly once,
     as early as the backend's reporting granularity allows.
     ``journal`` -- a :class:`~repro.sweep.service.SweepJournal` --
     replays cells completed by an interrupted earlier invocation and
     records each fresh result as it lands, making the sweep resumable.
-    ``cross_run`` routes execution through the cross-run vectorized
-    engine instead: cells are partitioned by
-    :attr:`~repro.sweep.grid.CellSpec.batch_key` and each compatible
-    group advances as one stacked ``(R, n)`` state array (see
-    :func:`run_cell_many`); it takes precedence over ``batch_size``
-    batching and is reflected in the result's ``dispatch`` label.
-    With ``workers > 1`` cross-run sweeps auto-select the
-    work-stealing shared-memory backend, which degrades rung by rung
-    (shm, pickle pool, in-process serial) without changing results.
+    ``cross_run`` only accepts ``True``: the per-cell execution mode
+    was removed (:func:`run_cell` remains the per-cell reference).
 
-    Results are identical for every backend, worker count, batch
-    size, dispatch mode, journal and cache state, and sorted by cell
-    key, so the returned :class:`SweepResult` depends only on the
-    grid (``dispatch`` and ``cache_stats`` are equality-excluded
-    machine properties).
+    Results are identical for every backend, worker count, dispatch
+    mode, journal and cache state, and sorted by cell key, so the
+    returned :class:`SweepResult` depends only on the grid
+    (``dispatch`` and ``cache_stats`` are equality-excluded machine
+    properties).
 
     ``telemetry`` -- a directory path or a
     :class:`~repro.telemetry.TelemetryConfig` -- activates a tracing
@@ -598,9 +497,8 @@ def run_sweep(
     try:
         with trace_span("sweep.run", workers=workers) as span:
             final = _run_sweep(
-                grid, workers, trace_detail, chunk_size, backend, cache,
-                probe, batch_size, dispatch, progress, journal, cross_run,
-                tconfig,
+                grid, workers, trace_detail, backend, cache, probe,
+                dispatch, progress, journal, cross_run, tconfig,
             )
             span.set("cells", len(final.cells))
             span.set("dispatch", final.dispatch)
@@ -660,16 +558,10 @@ def _record_sweep_metrics(
     count(f"sweep.dispatch.mode.{record.mode}")
     if record.pooled:
         count("sweep.dispatch.pooled")
-    if record.asynchronous:
-        count("sweep.dispatch.async")
     if record.cross_run:
         count("sweep.dispatch.cross_run")
     if record.sharded:
         count("sweep.dispatch.sharded")
-    if record.forced:
-        count("sweep.dispatch.forced")
-    if record.fallback:
-        count("sweep.dispatch.auto_fallback")
     if record.rung is not None:
         count(f"sweep.shm.rung.{record.rung}")
     if record.steals is not None:
@@ -703,11 +595,9 @@ def _run_sweep(
     grid: GridSpec | Iterable[CellSpec],
     workers: int,
     trace_detail: TraceDetail,
-    chunk_size: int | None,
     backend: SweepBackend | str | None,
     cache: CellStore | str | Path | None,
     probe: str | None,
-    batch_size: int | None,
     dispatch: str,
     progress: ProgressCallback | None,
     journal: "SweepJournal | None",
@@ -715,16 +605,17 @@ def _run_sweep(
     tconfig: TelemetryConfig | None,
 ) -> SweepResult:
     """The body of :func:`run_sweep`, inside its telemetry envelope."""
+    if cross_run is not True:
+        raise ValueError(
+            "cross_run=False was removed: every sweep runs through the "
+            "cross-run engine (run_cell remains the per-cell reference)"
+        )
     if trace_detail not in ("full", "lite"):
         raise ValueError(
             f"trace_detail must be 'full' or 'lite', got {trace_detail!r}"
         )
     if workers < 0:
         raise ValueError(f"workers must be non-negative, got {workers}")
-    if chunk_size is not None and chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if batch_size is not None and batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     if dispatch not in DISPATCH_MODES:
         raise ValueError(
             f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
@@ -743,11 +634,7 @@ def _run_sweep(
             raise ValueError(f"duplicate grid cell: {cell.describe()}")
         seen.add(cell.key)
 
-    if dispatch == "shm":
-        cross_run = True
-    resolved = _resolve_backend(
-        backend, workers, chunk_size, batch_size, dispatch, cross_run
-    )
+    resolved = _resolve_backend(backend, workers, dispatch)
     if journal is not None and isinstance(resolved, ShardedBackend):
         raise ValueError(
             "resume journals cover whole grids; sharded sweeps already "
@@ -761,9 +648,9 @@ def _run_sweep(
 
     # Every result flows through the reporter exactly once: journal
     # replays and cache hits immediately, executed cells as early as
-    # the backend's granularity allows (per cell serially, per chunk
-    # from the async dispatcher), anything a backend could not emit
-    # early (pool.map) after execution returns.
+    # the backend's granularity allows (per group in-process, per
+    # finished batch from the pool), anything a backend could not emit
+    # early after execution returns.
     total = len(selected)
     done = 0
     reported: set[tuple] = set()
@@ -791,7 +678,6 @@ def _run_sweep(
         else [cell for cell in selected if cell.key not in reported]
     )
 
-    batched = resolved.wants_batches
     resolved.on_result = report
     # Manual span management spares the whole dispatch block a
     # re-indent; the label lands as an attribute once execution is
@@ -802,56 +688,17 @@ def _run_sweep(
     )
     dispatch_span.__enter__()
     try:
-        if store is None:
-            runner = partial(
-                run_cell,
-                trace_detail=trace_detail,
-                probe=probe,
-                telemetry=tconfig,
-            )
-            batch_runner = partial(
-                run_cell_batch,
-                trace_detail=trace_detail,
-                probe=probe,
-                telemetry=tconfig,
-            )
-            many_runner = partial(
-                run_cell_many,
-                trace_detail=trace_detail,
-                probe=probe,
-                telemetry=tconfig,
-            )
-            executed = (
-                resolved.execute_many(remaining, many_runner)
-                if cross_run
-                else resolved.execute_batch(remaining, batch_runner)
-                if batched
-                else resolved.execute(remaining, runner)
-            )
-        else:
-            runner = partial(
-                _run_cell_cached,
-                trace_detail=trace_detail,
-                probe=probe,
-                store=store,
-                telemetry=tconfig,
-            )
-            batch_runner = partial(
-                run_cell_batch,
-                trace_detail=trace_detail,
-                probe=probe,
-                store=store,
-                telemetry=tconfig,
-            )
-            many_runner = partial(
-                run_cell_many,
-                trace_detail=trace_detail,
-                probe=probe,
-                store=store,
-                telemetry=tconfig,
-            )
-            hits: list[CellResult] = []
-            missing: list[CellSpec] = []
+        many_runner = partial(
+            run_cell_many,
+            trace_detail=trace_detail,
+            probe=probe,
+            store=store,
+            telemetry=tconfig,
+        )
+        hits: list[CellResult] = []
+        missing = remaining
+        if store is not None:
+            missing = []
             for cell in remaining:
                 cached = store.load(cell, trace_detail, probe)
                 store.record(cached is not None)
@@ -861,13 +708,7 @@ def _run_sweep(
                     missing.append(cell)
             for result in hits:
                 report(result)
-            executed = hits + (
-                resolved.execute_many(missing, many_runner)
-                if cross_run
-                else resolved.execute_batch(missing, batch_runner)
-                if batched
-                else resolved.execute(missing, runner)
-            )
+        executed = hits + resolved.execute_many(missing, many_runner)
         for result in executed:
             report(result)
     finally:

@@ -1,7 +1,7 @@
 """Structured parsing of backend dispatch labels.
 
 Every backend records *how* a sweep actually ran in the free-text
-``SweepResult.dispatch`` label (``"batched-parallel (forced)"``,
+``SweepResult.dispatch`` label (``"cross-run(4 batches, max R=16)"``,
 ``"cross-run-shm(4 batches, max R=16, steals=1)"``, ...).  Tests and
 the telemetry layer used to regex-scrape those strings ad hoc; this
 module is the one place that knows the grammar.  ``parse_dispatch_label``
@@ -14,7 +14,7 @@ instead of silently falling through a regex.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = ["DispatchRecord", "parse_dispatch_label"]
 
@@ -31,32 +31,17 @@ class DispatchRecord:
     raw: str
     mode: str
     pooled: bool = False
-    batched: bool = False
-    asynchronous: bool = False
     cross_run: bool = False
     sharded: bool = False
-    forced: bool = False
-    fallback: bool = False
     rung: str | None = None
     batches: int | None = None
     max_r: int | None = None
     steals: int | None = None
-    workers: int | None = None
-    usable_cpus: int | None = None
     inner: "DispatchRecord | None" = field(default=None, repr=False)
 
 
-_PLAIN = re.compile(
-    r"^(?P<batched>batched-)?(?P<mode>serial|parallel)"
-    r"(?: \((?P<qualifier>[^)]*)\))?$"
-)
-_FORCED_CPU = re.compile(r"^forced on (?P<cpus>\d+) usable cpu$")
-_FALLBACK = re.compile(
-    r"^auto-fallback: (?P<workers>\d+) workers on (?P<cpus>\d+) usable cpu$"
-)
 _CROSS_RUN = re.compile(
-    r"^cross-run\((?P<batches>\d+) batches, max R=(?P<max_r>\d+)"
-    r"(?P<parallel>, parallel)?\)$"
+    r"^cross-run\((?P<batches>\d+) batches, max R=(?P<max_r>\d+)\)$"
 )
 _CROSS_RUN_RUNG = re.compile(
     r"^cross-run-(?P<rung>shm|pickle)\((?P<batches>\d+) batches, "
@@ -79,44 +64,7 @@ def parse_dispatch_label(label: str) -> DispatchRecord:
     match = _SHARDED.match(label)
     if match is not None:
         inner = parse_dispatch_label(match.group("inner"))
-        return DispatchRecord(
-            raw=label,
-            mode=inner.mode,
-            pooled=inner.pooled,
-            batched=inner.batched,
-            asynchronous=inner.asynchronous,
-            cross_run=inner.cross_run,
-            sharded=True,
-            forced=inner.forced,
-            fallback=inner.fallback,
-            rung=inner.rung,
-            batches=inner.batches,
-            max_r=inner.max_r,
-            steals=inner.steals,
-            workers=inner.workers,
-            usable_cpus=inner.usable_cpus,
-            inner=inner,
-        )
-
-    if label.startswith("async-"):
-        inner = parse_dispatch_label(label[len("async-"):])
-        return DispatchRecord(
-            raw=label,
-            mode=inner.mode,
-            pooled=inner.pooled,
-            batched=inner.batched,
-            asynchronous=True,
-            cross_run=inner.cross_run,
-            forced=inner.forced,
-            fallback=inner.fallback,
-            rung=inner.rung,
-            batches=inner.batches,
-            max_r=inner.max_r,
-            steals=inner.steals,
-            workers=inner.workers,
-            usable_cpus=inner.usable_cpus,
-            inner=inner,
-        )
+        return replace(inner, raw=label, sharded=True, inner=inner)
 
     match = _CROSS_RUN_RUNG.match(label)
     if match is not None:
@@ -133,52 +81,12 @@ def parse_dispatch_label(label: str) -> DispatchRecord:
 
     match = _CROSS_RUN.match(label)
     if match is not None:
-        pooled = match.group("parallel") is not None
         return DispatchRecord(
             raw=label,
-            mode="parallel" if pooled else "serial",
-            pooled=pooled,
+            mode="serial",
             cross_run=True,
             batches=int(match.group("batches")),
             max_r=int(match.group("max_r")),
-        )
-
-    match = _PLAIN.match(label)
-    if match is not None:
-        mode = match.group("mode")
-        batched = match.group("batched") is not None
-        qualifier = match.group("qualifier")
-        forced = False
-        fallback = False
-        workers = None
-        cpus = None
-        if qualifier is not None:
-            if qualifier == "forced":
-                forced = True
-            else:
-                forced_cpu = _FORCED_CPU.match(qualifier)
-                auto = _FALLBACK.match(qualifier)
-                if forced_cpu is not None:
-                    forced = True
-                    cpus = int(forced_cpu.group("cpus"))
-                elif auto is not None:
-                    fallback = True
-                    workers = int(auto.group("workers"))
-                    cpus = int(auto.group("cpus"))
-                else:
-                    raise ValueError(
-                        f"unknown dispatch qualifier {qualifier!r} "
-                        f"in label {label!r}"
-                    )
-        return DispatchRecord(
-            raw=label,
-            mode=mode,
-            pooled=(mode == "parallel"),
-            batched=batched,
-            forced=forced,
-            fallback=fallback,
-            workers=workers,
-            usable_cpus=cpus,
         )
 
     raise ValueError(f"unknown dispatch label: {label!r}")

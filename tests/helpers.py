@@ -87,3 +87,26 @@ def small_grid(seeds=2, rounds=6):
         seeds=tuple(range(seeds)),
         rounds=rounds,
     )
+
+
+def reference_sweep(cells, trace_detail="lite", probe=None):
+    """The per-cell reference of a sweep: one ``run_cell`` per cell.
+
+    ``cells`` is a :class:`GridSpec` or an iterable of cells.  The
+    result is the key-sorted :class:`SweepResult` a sweep of the same
+    cells must equal bit for bit, whatever backend or cache state the
+    sweep ran under -- the cross-run engine is checked against this,
+    never against itself.
+    """
+    from repro.sweep import SweepResult, run_cell
+
+    if isinstance(cells, GridSpec):
+        cells = cells.cells()
+    results = [
+        run_cell(cell, trace_detail=trace_detail, probe=probe)
+        for cell in cells
+    ]
+    return SweepResult(
+        cells=tuple(sorted(results, key=lambda result: result.key)),
+        trace_detail=trace_detail,
+    )

@@ -7,8 +7,8 @@ vectorized path, itself gated against the scalar engine) across the
 full scenario matrix -- models, attacks, movements, families,
 topologies, seeds, round budgets.  These tests gate that contract at
 both layers: :func:`repro.runtime.simulator.simulate_many` against
-:func:`repro.runtime.simulator.run_simulation`, and
-``run_sweep(cross_run=True)`` against the default sweep.
+:func:`repro.runtime.simulator.run_simulation`, and ``run_sweep``
+against the per-cell ``run_cell`` reference.
 
 They also pin the supporting machinery: ``CellSpec.batch_key``
 partitioning is a true partition, the ``cross-run(...)`` dispatch label
@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import pytest
 
-from tests.helpers import small_grid
+from tests.helpers import reference_sweep, small_grid
 
 from repro.runtime.simulator import run_simulation, simulate_many
 from repro.sweep import (
@@ -111,7 +111,7 @@ class TestSimulateManyEquivalence:
 
 
 class TestCrossRunSweep:
-    """Sweep-level bit-identity and routing of ``cross_run=True``."""
+    """Sweep-level bit-identity of cross-run execution."""
 
     @pytest.fixture(scope="class")
     def grid(self):
@@ -119,17 +119,17 @@ class TestCrossRunSweep:
 
     @pytest.fixture(scope="class")
     def reference(self, grid):
-        return run_sweep(grid)
+        return reference_sweep(grid)
 
-    def test_cross_run_matches_default(self, grid, reference):
-        result = run_sweep(grid, cross_run=True)
+    def test_cross_run_matches_per_cell(self, grid, reference):
+        result = run_sweep(grid)
         assert result == reference
         assert_cells_identical(result.cells, reference.cells)
 
     def test_dispatch_label_surfaces_batches(self, grid, reference):
-        result = run_sweep(grid, cross_run=True)
+        result = run_sweep(grid)
         match = re.fullmatch(
-            r"cross-run\((\d+) batches, max R=(\d+)(, parallel)?\)",
+            r"cross-run\((\d+) batches, max R=(\d+)\)",
             result.dispatch,
         )
         assert match is not None
@@ -149,8 +149,8 @@ class TestCrossRunSweep:
             seeds=range(2),
             max_rounds=25,
         )
-        base = run_sweep(grid)
-        cross = run_sweep(grid, cross_run=True)
+        base = reference_sweep(grid)
+        cross = run_sweep(grid)
         assert cross == base
         assert_cells_identical(cross.cells, base.cells)
 
@@ -163,8 +163,8 @@ class TestCrossRunSweep:
             seeds=range(2),
             max_rounds=20,
         )
-        base = run_sweep(grid)
-        cross = run_sweep(grid, cross_run=True)
+        base = reference_sweep(grid)
+        cross = run_sweep(grid)
         assert cross == base
         assert_cells_identical(cross.cells, base.cells)
 
@@ -177,27 +177,27 @@ class TestCrossRunSweep:
             seeds=range(2),
             max_rounds=15,
         )
-        base = run_sweep(grid)
-        cross = run_sweep(grid, cross_run=True)
+        base = reference_sweep(grid)
+        cross = run_sweep(grid)
         assert cross == base
         assert_cells_identical(cross.cells, base.cells)
 
     def test_parallel_cross_run_identical(self, grid, reference):
-        result = run_sweep(grid, workers=4, cross_run=True)
+        result = run_sweep(grid, workers=4)
         assert result.cells == reference.cells
 
     def test_error_cells_keep_per_cell_attribution(self):
         cells = [cell(seed=seed) for seed in range(2)]
         cells.append(cell(n=5, seed=9))  # below the M2 resilience bound
-        base = run_sweep(cells)
-        cross = run_sweep(cells, cross_run=True)
+        base = reference_sweep(cells)
+        cross = run_sweep(cells)
         assert cross.cells == base.cells
         errors = cross.errors()
         assert len(errors) == 1 and errors[0].spec.n == 5
 
     def test_cache_write_through_and_warm_reuse(self, grid, reference, tmp_path):
-        cold = run_sweep(grid, cross_run=True, cache=tmp_path)
-        warm = run_sweep(grid, cross_run=True, cache=tmp_path)
+        cold = run_sweep(grid, cache=tmp_path)
+        warm = run_sweep(grid, cache=tmp_path)
         assert cold.cells == reference.cells
         assert warm.cells == reference.cells
         assert cold.cache_stats.misses == len(grid)
@@ -205,8 +205,8 @@ class TestCrossRunSweep:
 
     def test_full_detail_falls_back_per_run(self):
         cells = [cell(seed=seed, max_rounds=10) for seed in range(2)]
-        base = run_sweep(cells, trace_detail="full")
-        cross = run_sweep(cells, trace_detail="full", cross_run=True)
+        base = reference_sweep(cells, trace_detail="full")
+        cross = run_sweep(cells, trace_detail="full")
         assert cross.cells == base.cells
 
 
@@ -319,7 +319,7 @@ class TestEstimateCellCost:
         assert small < large
 
     def test_relative_ordering_pinned(self):
-        # The LPT schedule the async dispatcher derives from the model:
+        # The LPT order the stealing dispatcher derives from the model:
         # a witness ring cell outweighs every same-size bonomi cell.
         specs = [
             cell(family="bonomi"),

@@ -3,60 +3,25 @@
 Backends advertise how a sweep actually ran through the free-text
 ``SweepResult.dispatch`` label.  CI scripts and the telemetry layer key
 off those strings, so the grammar is load-bearing: this suite pins down
-``parse_dispatch_label`` for every label family the backends can emit
-(``serial``, ``batched-parallel (forced)``, ``async-*``,
-``cross-run(...)``, ``cross-run-shm(..., steals=S)``, ``sharded(inner)``)
-and then harvests labels from real small sweeps to prove the parser and
-the backends never drift apart.
+``parse_dispatch_label`` for every label family the surviving backends
+can emit (``cross-run(...)``, ``cross-run-shm(..., steals=S)``,
+``cross-run-pickle(...)``, ``sharded(inner)``, ``sharded-merge``),
+rejects the retired per-cell, batched and async forms, and then
+harvests labels from real small sweeps to prove the parser and the
+backends never drift apart.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import pytest
 
 from tests.helpers import small_grid
 
-from repro.sweep import run_sweep
+from repro.sweep import ShardedBackend, run_sweep
 from repro.telemetry import DispatchRecord, parse_dispatch_label
-
-
-class TestPlainLabels:
-    def test_serial(self):
-        rec = parse_dispatch_label("serial")
-        assert rec.mode == "serial"
-        assert not rec.pooled and not rec.batched and not rec.forced
-        assert rec.inner is None
-
-    def test_batched_serial(self):
-        rec = parse_dispatch_label("batched-serial")
-        assert rec.mode == "serial"
-        assert rec.batched
-
-    def test_parallel(self):
-        rec = parse_dispatch_label("parallel")
-        assert rec.mode == "parallel"
-        assert rec.pooled
-
-    def test_forced_qualifier(self):
-        rec = parse_dispatch_label("batched-parallel (forced)")
-        assert rec.mode == "parallel"
-        assert rec.batched and rec.forced and not rec.fallback
-
-    def test_forced_on_one_cpu(self):
-        rec = parse_dispatch_label("parallel (forced on 1 usable cpu)")
-        assert rec.forced
-        assert rec.usable_cpus == 1
-
-    def test_auto_fallback(self):
-        rec = parse_dispatch_label(
-            "serial (auto-fallback: 4 workers on 1 usable cpu)"
-        )
-        assert rec.mode == "serial"
-        assert rec.fallback and not rec.forced
-        assert rec.workers == 4
-        assert rec.usable_cpus == 1
 
 
 class TestCrossRunLabels:
@@ -68,17 +33,14 @@ class TestCrossRunLabels:
         assert rec.batches == 6
         assert rec.max_r == 16
         assert rec.rung is None
-
-    def test_pooled_legacy(self):
-        rec = parse_dispatch_label("cross-run(6 batches, max R=16, parallel)")
-        assert rec.cross_run and rec.pooled
-        assert rec.mode == "parallel"
+        assert rec.inner is None
 
     def test_shm_rung(self):
         rec = parse_dispatch_label(
             "cross-run-shm(4 batches, max R=8, steals=2)"
         )
         assert rec.cross_run and rec.pooled
+        assert rec.mode == "parallel"
         assert rec.rung == "shm"
         assert rec.batches == 4
         assert rec.max_r == 8
@@ -93,25 +55,13 @@ class TestCrossRunLabels:
 
 
 class TestWrapperLabels:
-    def test_async_prefix(self):
-        rec = parse_dispatch_label("async-cross-run(3 batches, max R=4)")
-        assert rec.asynchronous and rec.cross_run
-        assert rec.batches == 3
-        assert rec.inner is not None
-        assert not rec.inner.asynchronous
-
-    def test_async_serial(self):
-        rec = parse_dispatch_label("async-serial")
-        assert rec.asynchronous
-        assert rec.mode == "serial"
-
     def test_sharded_wraps_inner(self):
-        rec = parse_dispatch_label("sharded(batched-serial)")
-        assert rec.sharded
+        rec = parse_dispatch_label("sharded(cross-run(3 batches, max R=4))")
+        assert rec.sharded and rec.cross_run
         assert rec.mode == "serial"
-        assert rec.batched
+        assert rec.batches == 3
         assert isinstance(rec.inner, DispatchRecord)
-        assert rec.inner.raw == "batched-serial"
+        assert rec.inner.raw == "cross-run(3 batches, max R=4)"
         assert not rec.inner.sharded
 
     def test_sharded_shm(self):
@@ -143,6 +93,31 @@ class TestRejections:
         with pytest.raises(ValueError):
             parse_dispatch_label(label)
 
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "serial",
+            "parallel",
+            "batched-serial",
+            "batched-parallel (forced)",
+            "parallel (forced on 1 usable cpu)",
+            "serial (auto-fallback: 4 workers on 1 usable cpu)",
+            "async-serial",
+            "async-cross-run(3 batches, max R=4)",
+            "cross-run(6 batches, max R=16, parallel)",
+            "sharded(batched-serial)",
+        ],
+    )
+    def test_retired_labels_raise(self, label):
+        # No surviving backend emits these; the grammar no longer
+        # knows them.
+        with pytest.raises(ValueError):
+            parse_dispatch_label(label)
+
+    def test_retired_fields_are_gone(self):
+        names = {field.name for field in dataclasses.fields(DispatchRecord)}
+        assert not names & {"batched", "asynchronous"}
+
     def test_non_string_rejected(self):
         with pytest.raises(ValueError):
             parse_dispatch_label(None)
@@ -156,19 +131,14 @@ class TestHarvestedLabels:
         return small_grid()
 
     @pytest.mark.parametrize(
-        "kwargs, expectation",
-        [
-            ({"dispatch": "serial"}, {"mode": "serial"}),
-            ({"workers": 1}, {"mode": "serial"}),
-            ({"cross_run": True}, {"cross_run": True}),
-            ({"backend": "async"}, {"asynchronous": True}),
-        ],
+        "kwargs",
+        [{}, {"dispatch": "serial"}, {"workers": 4, "dispatch": "serial"}],
     )
-    def test_live_label_parses(self, grid, kwargs, expectation):
+    def test_live_in_process_label_parses(self, grid, kwargs):
         result = run_sweep(grid, **kwargs)
         rec = parse_dispatch_label(result.dispatch)
-        for attr, value in expectation.items():
-            assert getattr(rec, attr) == value, result.dispatch
+        assert rec.cross_run and rec.mode == "serial", result.dispatch
+        assert rec.batches == 12 and rec.max_r == 2
 
     def test_live_shm_label_parses(self, grid, monkeypatch):
         monkeypatch.setenv("REPRO_CPUS", "2")
@@ -179,3 +149,10 @@ class TestHarvestedLabels:
         assert rec.cross_run and rec.pooled
         assert rec.rung in {"shm", "pickle"}
         assert rec.steals is not None
+
+    def test_live_sharded_labels_parse(self, grid, tmp_path):
+        partial = run_sweep(grid, backend=ShardedBackend(0, 2, tmp_path))
+        rec = parse_dispatch_label(partial.dispatch)
+        assert rec.sharded and rec.cross_run and rec.inner is not None
+        merged = run_sweep(grid, backend=ShardedBackend(1, 2, tmp_path))
+        assert parse_dispatch_label(merged.dispatch).mode == "merge"

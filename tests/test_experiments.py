@@ -183,12 +183,15 @@ class TestCli:
         assert main(["sweep", "--models", "M1", "--seeds", "2"] + base) == 0
         assert main(["sweep", "--models", "M2", "--seeds", "3"] + base) == 0
 
-    def test_sweep_cli_rejects_contradictory_backend_and_shard(self, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--backend", "multiprocessing"], ["--batch-size", "4"],
+         ["--cross-run"], ["--dispatch", "pool"]],
+    )
+    def test_sweep_cli_rejects_removed_flags(self, capsys, flags):
         from repro.experiments.cli import main
 
-        code = main(
-            ["sweep", "--models", "M1", "--shard", "0/2",
-             "--backend", "multiprocessing", "--spill-dir", "unused"]
-        )
-        assert code == 2
-        assert "contradicts" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--models", "M1", "--seeds", "1"] + flags)
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err

@@ -1,9 +1,10 @@
 """Backend-layer tests: every execution strategy yields the same sweep.
 
 The backend contract is that a backend chooses *where and when* cells
-run, never *what* they compute: serial, multiprocessing and sharded
-execution of the same grid must produce bit-identical
-:class:`~repro.sweep.SweepResult` aggregates.  The sharded backend
+run, never *what* they compute: in-process, shared-memory pool and
+sharded execution of the same grid must produce
+:class:`~repro.sweep.SweepResult` aggregates bit-identical to the
+per-cell ``run_cell`` reference.  The sharded backend
 additionally owns a deterministic grid partition and a spill-file merge
 whose validation (missing shards, mixed trace details, foreign counts)
 these tests pin down.
@@ -11,16 +12,17 @@ these tests pin down.
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
-from tests.helpers import small_grid
+from tests.helpers import reference_sweep, small_grid
 
 from repro.sweep import (
-    MultiprocessingBackend,
     SerialBackend,
     ShardedBackend,
+    ShmCrossRunBackend,
     merge_shards,
     run_sweep,
 )
@@ -33,7 +35,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def reference(grid):
-    return run_sweep(grid, workers=1)
+    return reference_sweep(grid)
 
 
 class TestBackendEquivalence:
@@ -44,13 +46,20 @@ class TestBackendEquivalence:
     def test_serial_backend_by_name(self, grid, reference):
         assert run_sweep(grid, backend="serial") == reference
 
-    def test_multiprocessing_backend_matches_serial(self, grid, reference):
-        result = run_sweep(grid, backend=MultiprocessingBackend(workers=2))
+    def test_shm_backend_matches_serial(self, grid, reference):
+        result = run_sweep(grid, backend=ShmCrossRunBackend(workers=2))
         assert result.cells == reference.cells
         assert result.summary_table() == reference.summary_table()
 
-    def test_multiprocessing_backend_by_name(self, grid, reference):
-        result = run_sweep(grid, workers=2, backend="multiprocessing")
+    def test_shm_backend_selected_by_workers(self, grid, reference, monkeypatch):
+        from repro.sweep import backends
+
+        monkeypatch.setattr(backends, "_usable_cpus", lambda: 8)
+        result = run_sweep(grid, workers=2)
+        assert result.dispatch.startswith(
+            ("cross-run-shm(", "cross-run-pickle(")
+        )
+        assert result.workers == 2
         assert result.cells == reference.cells
 
     def test_unknown_backend_name_rejected(self, grid):
@@ -62,23 +71,21 @@ class TestBackendEquivalence:
             run_sweep(grid, backend="sharded")
 
 
-class TestChunkSizeValidation:
-    @pytest.mark.parametrize("chunk_size", [0, -1, -100])
-    def test_run_sweep_rejects_nonpositive_chunk_size(self, grid, chunk_size):
-        with pytest.raises(ValueError, match="chunk_size must be positive"):
-            run_sweep(grid, workers=2, chunk_size=chunk_size)
-
-    def test_backend_constructor_rejects_nonpositive_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size must be positive"):
-            MultiprocessingBackend(workers=2, chunk_size=0)
-
+class TestBackendValidation:
     def test_backend_constructor_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers must be at least 1"):
-            MultiprocessingBackend(workers=0)
+            ShmCrossRunBackend(workers=0)
 
-    def test_explicit_positive_chunk_size_is_accepted(self, grid, reference):
-        result = run_sweep(grid, workers=2, chunk_size=3)
-        assert result.cells == reference.cells
+    @pytest.mark.parametrize("mode", ["pool", "bogus"])
+    def test_backend_constructor_rejects_unknown_dispatch_mode(self, mode):
+        with pytest.raises(ValueError, match="dispatch_mode"):
+            ShmCrossRunBackend(workers=2, dispatch_mode=mode)
+
+    def test_packaging_knobs_are_gone(self):
+        for callable_ in (run_sweep, ShardedBackend):
+            parameters = inspect.signature(callable_).parameters
+            assert "chunk_size" not in parameters
+            assert "batch_size" not in parameters
 
 
 class TestShardPartition:
@@ -130,6 +137,15 @@ class TestShardedExecution:
                 grid, backend=ShardedBackend(index, 3, spill, workers=2)
             )
         assert last.cells == reference.cells
+
+    def test_sharded_inner_follows_dispatch_mode(self, grid, tmp_path):
+        result = run_sweep(
+            grid,
+            backend=ShardedBackend(0, 2, tmp_path, workers=2),
+            dispatch="serial",
+        )
+        assert not result.complete
+        assert result.dispatch.startswith("sharded(cross-run(")
 
 
 class TestMergeValidation:
@@ -240,97 +256,78 @@ class TestMergeValidation:
             merge_shards(tmp_path)
 
 
-class TestBatchedExecution:
-    """batch_size changes work packaging, never results."""
+class TestPoolPackaging:
+    """The worker count changes how batches are seeded, split and
+    stolen, never what they compute."""
 
-    @pytest.mark.parametrize("batch_size", [1, 3, 7, 100])
-    def test_serial_batches_bit_identical(self, grid, reference, batch_size):
-        assert run_sweep(grid, batch_size=batch_size) == reference
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_worker_count_never_changes_results(
+        self, grid, reference, workers, monkeypatch
+    ):
+        from repro.sweep import backends
 
-    def test_pooled_batches_bit_identical(self, grid, reference):
-        result = run_sweep(grid, workers=2, batch_size=4)
+        monkeypatch.setattr(backends, "_usable_cpus", lambda: 8)
+        result = run_sweep(grid, backend=ShmCrossRunBackend(workers=workers))
+        assert result.dispatch.startswith(
+            ("cross-run-shm(", "cross-run-pickle(")
+        )
         assert result.cells == reference.cells
-        assert result.workers == 2
+        assert result.workers == workers
+        assert result.summary_table() == reference.summary_table()
+        assert result.diameter_series() == reference.diameter_series()
 
-    def test_backend_instance_batches(self, grid, reference):
-        backend = MultiprocessingBackend(2, batch_size=5)
-        assert run_sweep(grid, backend=backend).cells == reference.cells
+    def test_pooled_sweep_with_cache_writes_through(
+        self, grid, reference, tmp_path, monkeypatch
+    ):
+        from repro.sweep import CellStore, backends
 
-    def test_sharded_batches_merge_identically(self, grid, reference, tmp_path):
-        for index in range(3):
-            merged = run_sweep(
-                grid,
-                backend=ShardedBackend(index, 3, tmp_path, batch_size=4),
-            )
-        assert merged == reference
-
-    def test_batched_sweep_with_cache_writes_through(self, grid, reference, tmp_path):
-        from repro.sweep import CellStore
-
+        monkeypatch.setattr(backends, "_usable_cpus", lambda: 8)
         store = CellStore(tmp_path / "cache")
-        cold = run_sweep(grid, batch_size=4, cache=store)
-        assert cold == reference
+        cold = run_sweep(grid, workers=2, cache=store)
+        assert cold.dispatch.startswith(("cross-run-shm(", "cross-run-pickle("))
+        assert cold.cells == reference.cells
         assert store.misses == len(list(grid.cells()))
-        warm = run_sweep(grid, batch_size=4, cache=store)
-        assert warm == reference
+        warm = run_sweep(grid, workers=2, cache=store)
+        assert warm.cells == reference.cells
         assert store.hits == len(list(grid.cells()))
-
-    def test_invalid_batch_size_rejected(self, grid):
-        with pytest.raises(ValueError, match="batch_size"):
-            run_sweep(grid, batch_size=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            MultiprocessingBackend(2, batch_size=-1)
-        with pytest.raises(ValueError, match="batch_size"):
-            ShardedBackend(0, 2, "unused", batch_size=0)
 
 
 class TestDispatchDecision:
     """Backends record how cells actually ran, and pools that cannot
     win (one usable CPU) auto-fall back to in-process dispatch."""
 
-    def test_serial_dispatch_recorded(self, grid):
-        assert run_sweep(grid).dispatch == "serial"
+    def test_in_process_dispatch_recorded(self, grid):
+        # 3 models x 2 algorithms x 2 attacks, 2 seeds per shape.
+        assert run_sweep(grid).dispatch == "cross-run(12 batches, max R=2)"
 
-    def test_batched_serial_dispatch_recorded(self, grid):
-        assert run_sweep(grid, batch_size=4).dispatch == "batched-serial"
-
-    def test_pool_falls_back_to_serial_on_one_cpu(
+    def test_pool_falls_back_to_in_process_on_one_cpu(
         self, grid, reference, monkeypatch
     ):
         from repro.sweep import backends
 
         monkeypatch.setattr(backends, "_usable_cpus", lambda: 1)
-        result = run_sweep(grid, backend=MultiprocessingBackend(workers=4))
-        assert result.dispatch.startswith("serial")
-        assert "auto-fallback" in result.dispatch
-        assert result.cells == reference.cells
-
-    def test_batched_pool_falls_back_on_one_cpu(
-        self, grid, reference, monkeypatch
-    ):
-        from repro.sweep import backends
-
-        monkeypatch.setattr(backends, "_usable_cpus", lambda: 1)
-        backend = MultiprocessingBackend(workers=4, batch_size=4)
-        result = run_sweep(grid, backend=backend)
-        assert result.dispatch.startswith("batched-serial")
-        assert "auto-fallback" in result.dispatch
+        result = run_sweep(grid, backend=ShmCrossRunBackend(workers=4))
+        assert result.dispatch.startswith("cross-run(")
+        assert result.workers == 4
         assert result.cells == reference.cells
 
     def test_pool_used_when_cpus_allow(self, grid, reference, monkeypatch):
         from repro.sweep import backends
 
         monkeypatch.setattr(backends, "_usable_cpus", lambda: 8)
-        result = run_sweep(grid, backend=MultiprocessingBackend(workers=2))
-        assert result.dispatch == "parallel"
+        result = run_sweep(grid, backend=ShmCrossRunBackend(workers=2))
+        assert result.dispatch.startswith(
+            ("cross-run-shm(", "cross-run-pickle(")
+        )
         assert result.cells == reference.cells
 
-    def test_single_cell_grid_is_serial_without_fallback_label(self, grid):
+    def test_single_cell_grid_runs_in_process(self, grid):
         cells = list(grid.cells())[:1]
-        result = run_sweep(cells, backend=MultiprocessingBackend(workers=4))
-        assert result.dispatch == "serial"
+        result = run_sweep(cells, backend=ShmCrossRunBackend(workers=4))
+        assert result.dispatch == "cross-run(1 batches, max R=1)"
 
     def test_dispatch_excluded_from_equality(self, reference):
         from dataclasses import replace
 
-        assert replace(reference, dispatch="batched-parallel") == reference
+        shm = "cross-run-shm(12 batches, max R=2, steals=0)"
+        assert replace(reference, dispatch=shm) == reference

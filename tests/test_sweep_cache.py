@@ -10,9 +10,12 @@ miss and the cell re-executes.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from tests.helpers import small_grid
+from tests.helpers import reference_sweep, small_grid
 
 from repro.sweep import CellStore, run_cell, run_sweep
 from repro.sweep.cache import result_from_dict, result_to_dict
@@ -25,7 +28,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def reference(grid):
-    return run_sweep(grid, workers=1)
+    return reference_sweep(grid)
 
 
 @pytest.fixture
@@ -68,14 +71,52 @@ class TestWarmEqualsCold:
         assert store.misses == len(wider) - len(grid)
         assert len(result) == len(wider)
 
-    def test_prepopulated_cells_are_not_reexecuted(self, grid, store):
+    def test_prepopulated_cells_are_not_reexecuted(
+        self, grid, reference, store
+    ):
         cells = list(grid.cells())
         for cell in cells[::2]:
             store.save(run_cell(cell), "lite")
         result = run_sweep(grid, cache=store)
         assert store.hits == len(cells[::2])
         assert store.misses == len(cells) - len(cells[::2])
-        assert result == run_sweep(grid)
+        assert result == reference
+
+
+class TestConcurrentSave:
+    def test_threads_saving_one_cell_never_collide(self, grid, store):
+        # Threads of one process (the serve daemon's request handlers)
+        # writing the same cell must each use their own temp file: a
+        # shared one is renamed away under the other writer.
+        cell = _a_cell(grid)
+        result = run_cell(cell)
+        writers = 4
+        start = threading.Barrier(writers)
+        errors: list[Exception] = []
+
+        def writer():
+            start.wait()
+            try:
+                for _ in range(200):
+                    store.save(result, "lite")
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store.load(cell, "lite") == result
+        leftovers = [p for p in store.root.rglob("*") if ".tmp." in p.name]
+        assert leftovers == []
 
 
 class TestKeyCoverage:

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from tests.helpers import small_grid
+from tests.helpers import reference_sweep, small_grid
 
 from repro.runtime import derive_rng
 from repro.sweep import run_cell, run_sweep
@@ -49,7 +49,7 @@ class TestRepeatedRuns:
 class TestWorkerCounts:
     @pytest.fixture(scope="class")
     def reference(self, grid):
-        return run_sweep(grid, workers=1)
+        return reference_sweep(grid)
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_aggregate_tables_identical(self, grid, reference, workers):

@@ -5,16 +5,17 @@ Two independent axes must never change results:
 * **trace detail** -- ``trace_detail="lite"`` skips all per-round
   snapshots but must produce bit-identical decisions, termination
   rounds, diameter trajectories and headline spec verdicts;
-* **execution strategy** -- a parallel sweep must be bit-identical to a
-  serial sweep of the same grid, independent of worker count, chunking
-  and completion order (results are keyed by cell).
+* **execution strategy** -- an in-process or parallel cross-run sweep
+  must be bit-identical to the per-cell ``run_cell`` reference of the
+  same grid, independent of worker count, group splitting and
+  completion order (results are keyed by cell).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tests.helpers import make_mobile_config, small_grid
+from tests.helpers import make_mobile_config, reference_sweep, small_grid
 
 from repro.core.specification import check_trace
 from repro.runtime import LiteTrace, SynchronousSimulator, Trace, run_simulation
@@ -28,12 +29,12 @@ def grid():
 
 @pytest.fixture(scope="module")
 def serial_full(grid):
-    return run_sweep(grid, workers=1, trace_detail="full")
+    return reference_sweep(grid, trace_detail="full")
 
 
 @pytest.fixture(scope="module")
 def serial_lite(grid):
-    return run_sweep(grid, workers=1, trace_detail="lite")
+    return reference_sweep(grid, trace_detail="lite")
 
 
 class TestLiteVsFullSweep:
@@ -79,20 +80,22 @@ class TestLiteVsFullSweep:
 
 
 class TestParallelVsSerial:
-    """(b) parallel execution is bit-identical to serial execution."""
+    """(b) sweeps are bit-identical to per-cell serial execution."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_cells_bit_identical(self, grid, serial_lite, workers):
         parallel = run_sweep(grid, workers=workers, trace_detail="lite")
         assert parallel.cells == serial_lite.cells
 
+    def test_in_process_bit_identical(self, grid, serial_lite):
+        assert run_sweep(grid) == serial_lite
+
     def test_full_traces_parallel(self, grid, serial_full):
         parallel = run_sweep(grid, workers=2, trace_detail="full")
         assert parallel.cells == serial_full.cells
 
-    def test_chunking_is_irrelevant(self, grid, serial_lite):
-        chunked = run_sweep(grid, workers=2, trace_detail="lite", chunk_size=1)
-        assert chunked.cells == serial_lite.cells
+    def test_full_traces_in_process(self, grid, serial_full):
+        assert run_sweep(grid, trace_detail="full") == serial_full
 
 
 class TestSimulatorLevelEquivalence:

@@ -24,10 +24,9 @@ import warnings
 
 import pytest
 
-from tests.helpers import small_grid
+from tests.helpers import reference_sweep, small_grid
 
 from repro.sweep import (
-    AsyncBackend,
     DISPATCH_MODES,
     GridSpec,
     ShardedBackend,
@@ -55,7 +54,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def reference(grid):
-    return run_sweep(grid, workers=1)
+    return reference_sweep(grid)
 
 
 class TestStreamingAggregation:
@@ -74,12 +73,11 @@ class TestStreamingAggregation:
         keys = [cell.key for cell, _, _ in events]
         assert sorted(keys) == sorted(c.key for c in reference.cells)
 
-    def test_async_stream_matches_batch(self, grid, reference):
+    def test_pool_stream_matches_batch(self, grid, reference):
         acc = SweepAccumulator(expected=len(reference))
         run_sweep(
             grid,
             workers=4,
-            backend="async",
             progress=lambda cell, done, total: acc.add(cell),
         )
         assert acc.result().cells == reference.cells
@@ -103,38 +101,46 @@ class TestStreamingAggregation:
             acc.result()
 
 
-class TestAsyncBackend:
-    def test_async_by_name_matches_serial(self, grid, reference):
-        result = run_sweep(grid, workers=4, backend="async")
-        assert result.cells == reference.cells
-        assert result.dispatch.startswith("async-")
-
-    def test_async_instance_matches_serial(self, grid, reference):
-        result = run_sweep(grid, backend=AsyncBackend(workers=3))
-        assert result.cells == reference.cells
-
+class TestDispatchModes:
     def test_forced_serial_dispatch(self, grid, reference):
-        result = run_sweep(grid, workers=4, backend="async", dispatch="serial")
+        result = run_sweep(grid, workers=4, dispatch="serial")
         assert result.cells == reference.cells
-        assert result.dispatch == "async-serial (forced)"
+        assert result.dispatch.startswith("cross-run(")
+        assert result.workers == 4
 
-    def test_forced_pool_is_bit_identical(self, grid, reference):
+    def test_forced_shm_is_bit_identical(self, grid, reference):
         # On one usable CPU the forced pool warns (separately tested);
         # either way the results must not depend on where cells ran.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            result = run_sweep(grid, workers=2, dispatch="pool")
+            result = run_sweep(grid, workers=2, dispatch="shm")
         assert result.cells == reference.cells
-        assert "forced" in result.dispatch
+        assert result.dispatch.startswith(
+            ("cross-run-shm(", "cross-run-pickle(")
+        )
 
-    def test_forced_pool_on_one_cpu_warns(self, grid):
-        if _usable_cpus() >= 2:
-            pytest.skip("warning only fires with a single usable CPU")
+    def test_forced_shm_on_one_cpu_warns(self, grid, monkeypatch):
+        from repro.sweep import backends
+
+        monkeypatch.setattr(backends, "_usable_cpus", lambda: 1)
         with pytest.warns(RuntimeWarning, match="pool cannot win"):
+            run_sweep(grid, workers=2, dispatch="shm")
+
+    def test_removed_pool_dispatch_rejected(self, grid):
+        with pytest.raises(ValueError, match="dispatch must be one of"):
             run_sweep(grid, workers=2, dispatch="pool")
 
+    @pytest.mark.parametrize("name", ["async", "multiprocessing"])
+    def test_removed_backend_names_rejected(self, grid, name):
+        with pytest.raises(ValueError, match="was removed"):
+            run_sweep(grid, workers=2, backend=name)
+
+    def test_per_cell_mode_rejected(self, grid):
+        with pytest.raises(ValueError, match="cross_run=False was removed"):
+            run_sweep(grid, cross_run=False)
+
     def test_unknown_dispatch_mode_rejected(self, grid):
-        assert DISPATCH_MODES == ("auto", "serial", "pool", "shm")
+        assert DISPATCH_MODES == ("auto", "serial", "shm")
         with pytest.raises(ValueError, match="dispatch"):
             run_sweep(grid, dispatch="bogus")
 
@@ -224,11 +230,11 @@ class TestSweepJournal:
         assert resumed == reference
         assert journal.completed_count == len(reference)
 
-    def test_async_chunk_failure_resumes_from_recorded_chunks(
+    def test_pool_failure_resumes_from_recorded_batches(
         self, grid, reference, tmp_path
     ):
-        # A worker failure surfaces as an exception mid-dispatch; the
-        # chunks that already streamed back stay journaled.
+        # A failure surfaces as an exception mid-dispatch; the batches
+        # that already streamed back stay journaled.
         root = tmp_path / "journal"
 
         def fail_after(limit):
@@ -244,7 +250,6 @@ class TestSweepJournal:
                 run_sweep(
                     grid,
                     workers=4,
-                    backend="async",
                     progress=fail_after(3),
                     journal=journal,
                 )

@@ -33,6 +33,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.helpers import reference_sweep
+
 from repro.sweep import (
     CellSpec,
     CellStore,
@@ -370,7 +372,7 @@ class TestForcedShmBitIdentity:
 
     @pytest.fixture(scope="class")
     def reference(self, grid):
-        return run_sweep(grid)
+        return reference_sweep(grid)
 
     def test_matches_serial_reference(self, grid, reference):
         result = shm_sweep(grid)
@@ -385,7 +387,7 @@ class TestForcedShmBitIdentity:
         ), result.dispatch
 
     def test_matches_serial_cross_run(self, grid, reference):
-        serial_cross = run_sweep(grid, cross_run=True)
+        serial_cross = run_sweep(grid)
         result = shm_sweep(grid)
         assert result.cells == serial_cross.cells == reference.cells
 
@@ -398,11 +400,11 @@ class TestForcedShmBitIdentity:
             seeds=range(2),
             max_rounds=15,
         )
-        assert shm_sweep(grid).cells == run_sweep(grid).cells
+        assert shm_sweep(grid).cells == reference_sweep(grid).cells
 
     def test_full_detail(self):
         cells = [cell(seed=seed, max_rounds=10) for seed in range(3)]
-        base = run_sweep(cells, trace_detail="full")
+        base = reference_sweep(cells, trace_detail="full")
         result = shm_sweep(cells, trace_detail="full")
         assert result.cells == base.cells
 
@@ -410,7 +412,7 @@ class TestForcedShmBitIdentity:
         cells = [cell(seed=seed) for seed in range(2)]
         cells.append(cell(n=5, seed=9))  # config-build error
         cells.extend(starving_witness(seed) for seed in range(2))  # mid-run
-        base = run_sweep(cells)
+        base = reference_sweep(cells)
         result = shm_sweep(cells)
         assert result.cells == base.cells
         assert len(result.errors()) == 3
@@ -424,7 +426,25 @@ class TestForcedShmBitIdentity:
             )
             for seed in range(2)
         ]
-        assert shm_sweep(cells).cells == run_sweep(cells).cells
+        assert shm_sweep(cells).cells == reference_sweep(cells).cells
+
+    def test_scenarios_that_size_their_own_system(self):
+        # The stall scenario runs at n_Mi - 1 + extra, wider than the
+        # layout planned from the cell; those rows ride inline.
+        cells = [
+            cell(
+                model="M1",
+                n=None,
+                movement="alternating-pools",
+                scenario="stall",
+                params={"extra": extra},
+                rounds=10,
+                seed=seed,
+            )
+            for extra in range(3)
+            for seed in range(2)
+        ]
+        assert shm_sweep(cells).cells == reference_sweep(cells).cells
 
     def test_cache_write_through(self, grid, reference, tmp_path):
         cold = shm_sweep(grid, cache=tmp_path)
@@ -433,9 +453,9 @@ class TestForcedShmBitIdentity:
         assert warm.cache_stats.hits == len(grid)
 
     def test_auto_selection_still_identical(self, grid, reference):
-        # workers > 1 + cross_run auto-selects the stealing backend;
-        # whatever rung it lands on, results cannot change.
-        result = run_sweep(grid, workers=2, cross_run=True)
+        # workers > 1 auto-selects the stealing backend; whatever rung
+        # it lands on, results cannot change.
+        result = run_sweep(grid, workers=2)
         assert result.cells == reference.cells
 
 
@@ -523,7 +543,7 @@ class TestArenaLeaks:
 class TestInterruptResume:
     def test_journal_resume_is_bit_identical(self, tmp_path):
         grid = small_grid()
-        reference = run_sweep(grid)
+        reference = reference_sweep(grid)
         fired = []
 
         def interrupt_after_four(result, done, total):

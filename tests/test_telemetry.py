@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from tests.helpers import small_grid
+from tests.helpers import reference_sweep, small_grid
 
 from repro.sweep import CellSpec, run_cell, run_sweep
 from repro.telemetry import (
@@ -185,7 +185,7 @@ class TestTracedSweep:
     def traced(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("telemetry")
         grid = small_grid()
-        baseline = run_sweep(grid)
+        baseline = reference_sweep(grid)
         result = run_sweep(grid, telemetry=str(directory))
         return directory, baseline, result
 
@@ -202,14 +202,22 @@ class TestTracedSweep:
         edges = span_children(events)
         assert (None, "sweep.run") in edges
         assert ("sweep.run", "sweep.dispatch") in edges
-        assert ("sweep.dispatch", "sweep.cell") in edges
-        assert ("sweep.cell", "sim.run") in edges
+        assert ("sweep.dispatch", "sweep.cell.group") in edges
+        assert ("sweep.cell.group", "sim.many") in edges
 
     def test_span_rollup_counts_cells(self, traced):
         directory, baseline, _ = traced
-        rollup = span_rollup(load_trace_events(directory))
+        events = load_trace_events(directory)
+        rollup = span_rollup(events)
         assert rollup["sweep.run"]["count"] == 1
-        assert rollup["sweep.cell"]["count"] == len(baseline.cells)
+        runs = [
+            event["attrs"]["runs"]
+            for event in events
+            if event.get("event") == "span"
+            and event["name"] == "sweep.cell.group"
+        ]
+        assert rollup["sweep.cell.group"]["count"] == len(runs)
+        assert sum(runs) == len(baseline.cells)
 
     def test_metrics_json_written(self, traced):
         directory, baseline, _ = traced
@@ -274,21 +282,16 @@ class TestFlightRecorder:
         assert delta["counters"]["sweep.cells.done"] == 12.0
 
 
-class TestChunkSizeHistogram:
-    def test_adaptive_chunker_observes_chunk_sizes(self):
-        from repro.sweep.backends import _AdaptiveChunker
-
-        cells = list(small_grid().cells())
-        chunker = _AdaptiveChunker(cells, 0.15, 8)
+class TestSizeHistogram:
+    def test_cell_rounds_histogram_uses_size_edges(self):
+        grid = small_grid(seeds=1, rounds=4)
         before = get_registry().snapshot()
-        chunks = []
-        while (chunk := chunker.next_chunk()) is not None:
-            chunks.append(chunk)
+        run_sweep(grid)
         delta = snapshot_delta(before, get_registry().snapshot())
-        hist = delta["histograms"].get("sweep.chunk.size")
+        hist = delta["histograms"].get("sweep.cell.rounds")
         assert hist is not None
         assert hist["edges"] == list(DEFAULT_SIZE_EDGES)
-        assert hist["count"] == len(chunks)
+        assert hist["count"] == len(grid)
 
 
 class TestCLI:
