@@ -57,6 +57,14 @@ class RecipientCamps:
     sender, and lets the round kernel group recipients by camp index
     directly (see :class:`CampOutbox`).
 
+    The partition may also be the *identity* -- one camp per recipient,
+    camp index equal to the pid.  That is how an attack whose every
+    message differs (the noise attack draws one value per message)
+    declares its outbox: ``n`` values per sender, no saving in size,
+    but the shared assignment still keeps the per-message call chain
+    out of fault planning and lets the kernel fold the round as one
+    array pass instead of a per-recipient scalar loop.
+
     Attributes
     ----------
     values:
@@ -79,7 +87,13 @@ class RecipientCamps:
         return self
 
     def validate_values(self, context: str) -> None:
-        """O(#camps) per-sender check: every camp value is a finite real."""
+        """O(#camps) per-sender check: every camp value is a finite real.
+
+        The happy path is one C-level ``all(map(...))`` pass; only a
+        failing check pays the per-value loop that names the culprit.
+        """
+        if all(map(math.isfinite, self.values)):
+            return
         for value in self.values:
             if not math.isfinite(value):
                 raise ValueError(
@@ -147,9 +161,7 @@ class CampOutbox(Mapping):
     def __init__(self, camps: RecipientCamps) -> None:
         # Named camp_values (not values): a Mapping's .values() method
         # must stay callable.
-        self.camp_values: Sequence[float] = tuple(
-            float(value) for value in camps.values
-        )
+        self.camp_values: Sequence[float] = tuple(map(float, camps.values))
         self.assignment: Sequence[int] = camps.assignment
 
     def __getitem__(self, pid: int) -> float:
@@ -257,8 +269,12 @@ class ValueStrategy(ABC):
         view (``view.memo``) so fault planning costs ``O(n + f *
         #camps)`` per round instead of ``O(n * f)``.
 
-        Strategies that consume per-message randomness or send
-        recipient-unique values cannot declare camps.
+        Strategies that consume per-message randomness may declare
+        camps too, provided this method draws from ``view.rng``
+        exactly the sequence :meth:`attack_outbox` would -- same
+        draws, same recipient order, same values -- so the rng is left
+        in the same state either way.  Recipient-unique values use one
+        camp per recipient (see :class:`RecipientCamps`).
         """
         return None
 
@@ -344,6 +360,11 @@ def _parity_assignment(view: AdversaryView) -> tuple[int, ...]:
     return view.memo(
         "camps-parity", lambda: tuple(pid % 2 for pid in range(view.n))
     )
+
+
+def _identity_assignment(view: AdversaryView) -> CampAssignment:
+    """One camp per recipient (camp index == pid), shared per round."""
+    return view.memo("camps-identity", lambda: CampAssignment(range(view.n)))
 
 
 def _split_assignment(view: AdversaryView) -> tuple[int, ...]:
@@ -532,6 +553,15 @@ class RandomNoise(ValueStrategy):
     ``spread`` scales the envelope: 1.0 keeps lies inside the correct
     range, larger values allow out-of-range lies.  Uses the view's
     seeded adversary rng, so runs stay reproducible.
+
+    Every message is a fresh draw, so a sender's outbox declares one
+    camp per recipient (the identity assignment, shared by all senders
+    of a round).  The batch hooks draw the camp values in recipient
+    order with :meth:`random.Random.uniform`'s own formula, ``low +
+    (high - low) * rng.random()``, which keeps the values and the rng
+    state bit-identical to ``n`` :meth:`attack_message` calls.
+    Departure and compute values (recipient ``None``) stay one
+    ``uniform`` draw each.
     """
 
     def __init__(self, spread: float = 2.0) -> None:
@@ -539,13 +569,38 @@ class RandomNoise(ValueStrategy):
             raise ValueError("spread must be positive")
         self.spread = float(spread)
 
-    def attack_message(
-        self, view: AdversaryView, sender: int, recipient: int | None
-    ) -> float:
+    def _envelope(self, view: AdversaryView) -> tuple[float, float]:
         interval = view.correct_range()
         center = interval.midpoint()
         half_width = max(interval.width, 1e-9) * self.spread / 2.0
-        return view.rng.uniform(center - half_width, center + half_width)
+        return center - half_width, center + half_width
+
+    def _draws(self, view: AdversaryView, count: int) -> list[float]:
+        """``count`` successive ``rng.uniform`` draws over the envelope."""
+        low, high = self._envelope(view)
+        width = high - low
+        draw = view.rng.random
+        return [low + width * draw() for _ in range(count)]
+
+    def attack_message(
+        self, view: AdversaryView, sender: int, recipient: int | None
+    ) -> float:
+        low, high = self._envelope(view)
+        return view.rng.uniform(low, high)
+
+    def attack_outbox(
+        self, view: AdversaryView, sender: int, recipients: Iterable[int]
+    ) -> dict[int, float]:
+        recipients = list(recipients)
+        return dict(zip(recipients, self._draws(view, len(recipients))))
+
+    def attack_camps(
+        self, view: AdversaryView, sender: int
+    ) -> RecipientCamps | None:
+        return RecipientCamps(
+            values=tuple(self._draws(view, view.n)),
+            assignment=_identity_assignment(view),
+        )
 
     def describe(self) -> str:
         return f"noise(spread={self.spread:g})"

@@ -251,6 +251,26 @@ def distinct_inbox_groups(
     return groups
 
 
+def shared_camps(
+    outboxes: Sequence[Mapping[int, float]],
+) -> tuple[Sequence[int], list[Sequence[float]]] | None:
+    """The common camp partition of ``outboxes``, or ``None``.
+
+    When every outbox is a :class:`CampOutbox` over one shared
+    assignment (strategies memoize it per round, so the check is by
+    identity), returns ``(assignment, columns)`` with one camp-value
+    sequence per outbox, in order: a recipient's override values are
+    then ``column[assignment[pid]]`` and its camp index is a complete
+    grouping key for them.
+    """
+    if not outboxes or not all(type(u) is CampOutbox for u in outboxes):
+        return None
+    assignment = outboxes[0].assignment
+    if not all(u.assignment is assignment for u in outboxes):
+        return None
+    return assignment, [u.camp_values for u in outboxes]
+
+
 class RoundKernel:
     """Reusable engine for the lite computation phase of one round.
 
@@ -441,11 +461,10 @@ class RoundKernel:
                     index_of[id(outbox)] = index
                     unique.append(outbox)
                 slots.append(index)
-        if not all(type(u) is CampOutbox for u in unique):
+        camps = shared_camps(unique)
+        if camps is None:
             return None
-        assignment = unique[0].assignment
-        if not all(u.assignment is assignment for u in unique[1:]):
-            return None
+        assignment, columns = camps
 
         # Camp strategies stash the integer codes on the assignment
         # (see CampAssignment); fall back to encoding the plain tuple.
@@ -461,11 +480,11 @@ class RoundKernel:
         # only the camps that have recipients; evaluating all of them
         # is harmless because bounds depend only on the width.
         if slots is None:
-            column = np.asarray(first.camp_values[:ncamps], dtype=np.float64)
+            column = np.asarray(columns[0][:ncamps], dtype=np.float64)
             extras = np.broadcast_to(column.reshape(ncamps, 1), (ncamps, k))
         else:
             per_unique = np.asarray(
-                [u.camp_values[:ncamps] for u in unique], dtype=np.float64
+                [values[:ncamps] for values in columns], dtype=np.float64
             )
             extras = per_unique[np.asarray(slots, dtype=np.intp)].T
         rows = np.concatenate(
@@ -637,14 +656,9 @@ class RoundKernel:
             # (see repro.faults.value_strategies.CampOutbox) collapse
             # the grouping key to the camp index itself: no per-unique
             # probing, and #distinct inboxes == #camps by construction.
-            camp_assignment = None
-            camp_values: list[Sequence[float]] = []
-            if unique and all(type(u) is CampOutbox for u in unique):
-                assignment = unique[0].assignment
-                if all(u.assignment is assignment for u in unique[1:]):
-                    camp_assignment = assignment
-                    camp_values = [u.camp_values for u in unique]
-            if camp_assignment is not None:
+            camps = shared_camps(unique)
+            if camps is not None:
+                camp_assignment, camp_values = camps
                 camp_cache: dict[int, tuple[float, float]] = {}
                 for pid in range(n):
                     if pid in compute_corruptions:

@@ -74,7 +74,11 @@ values form one shared sorted list per round; recipients are grouped by
 the O(f) per-recipient deltas (override values, per-recipient
 acceptance bits) and the MSR function is evaluated once per distinct
 effective inbox through :func:`~repro.runtime.kernel.compile_msr`'s
-flat evaluator.  The kernel's ``group_inboxes`` / ``flat_msr`` toggles
+flat evaluator.  When every override outbox is a camp outbox over one
+shared recipient partition, the override part of the key is the
+recipient's camp index itself (as in the kernel's scalar receive loop),
+so the loop reads one assignment entry per recipient instead of probing
+each outbox.  The kernel's ``group_inboxes`` / ``flat_msr`` toggles
 are honoured, giving the equivalence suite a per-recipient object-path
 reference implementation.
 
@@ -96,7 +100,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from ..msr.base import MSRFunction
 from ..msr.multiset import ValueMultiset
 from .families import ProtocolFamily, register_family
-from .kernel import RoundKernel, compile_msr
+from .kernel import RoundKernel, compile_msr, shared_camps
 from .protocol import StatefulRoundProtocol
 from .trace import BroadcastOutbox
 
@@ -350,6 +354,12 @@ class TsengProtocol(StatefulRoundProtocol):
         buffer = self._buffer
         max_diameter = 0.0
         cache: dict[tuple, tuple] | None = {} if grouped else None
+        # Camp-declared overrides sharing one recipient partition key
+        # each recipient by its camp index, as RoundKernel._compute_phase
+        # does: one assignment lookup instead of one outbox.get per
+        # override.
+        camps = shared_camps(override_list)
+        camp_assignment, camp_values = camps if camps is not None else (None, [])
 
         for pid in range(self.n):
             if pid in compute_corruptions:
@@ -364,11 +374,16 @@ class TsengProtocol(StatefulRoundProtocol):
                     extras.append(value)
                 else:
                     rejected += 1
-            for outbox in override_list:
-                entry = outbox.get(pid)
-                key_parts.append(entry)
-                if entry is not None:
-                    extras.append(float(entry))
+            if camp_assignment is not None:
+                camp = camp_assignment[pid]
+                key_parts.append(camp)
+                extras.extend([column[camp] for column in camp_values])
+            else:
+                for outbox in override_list:
+                    entry = outbox.get(pid)
+                    key_parts.append(entry)
+                    if entry is not None:
+                        extras.append(float(entry))
             if rejected and not adaptive:
                 # Omission rule for budget-less reductions: one
                 # own-estimate entry per rejected sender keeps multiset

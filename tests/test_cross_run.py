@@ -155,10 +155,15 @@ class TestCrossRunSweep:
         assert_cells_identical(cross.cells, base.cells)
 
     def test_mixed_families_fall_back_per_family(self):
+        # noise declares identity camps (one per recipient, rng-drawn)
+        # and crossfire sender-dependent split camps: both reach the
+        # stacked bonomi fold and tseng's camp-index key.
         grid = GridSpec(
-            models=("M2",),
+            models=("M2", "M3"),
             fs=(2,),
             ns=(17,),
+            movements=("round-robin", "random"),
+            attacks=("split", "noise", "crossfire"),
             families=("bonomi", "tseng"),
             seeds=range(2),
             max_rounds=20,

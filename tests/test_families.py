@@ -22,7 +22,9 @@ import pytest
 
 import repro
 from repro.api import mobile_config
+from repro.msr.base import MSRFunction
 from repro.msr.reduce import IdentityReduction, TrimExtremes
+from repro.msr.select import SelectAll
 from repro.runtime import (
     BonomiFamily,
     MSRVotingProtocol,
@@ -199,7 +201,7 @@ class TestTsengProperties:
     def test_kernel_toggles_bit_identical(self, model, options):
         """The distinct-inbox fast path of the stateful driver agrees
         with its per-recipient object-path reference."""
-        for attack in ("split", "outlier", "crossfire"):
+        for attack in ("split", "outlier", "crossfire", "noise"):
             config = mobile_config(
                 model=model, f=2, attack=attack, seed=7,
                 family="tseng", rounds=10,
@@ -209,6 +211,29 @@ class TestTsengProperties:
             assert fast.round_extents == other.round_extents
             assert repr(fast.round_extents) == repr(other.round_extents)
             assert fast.decisions == other.decisions
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    @pytest.mark.parametrize("attack", ["crossfire", "noise", "outlier"])
+    def test_budgetless_omission_key_bit_identical(self, model, attack):
+        """A budget-less reduction substitutes the receiver's own value
+        for each rejected claim (M2's cured broadcasts), which puts the
+        own value into the grouping key next to the camp index of the
+        override outboxes.  The grouped loop must still agree with the
+        per-recipient reference run for run.  (Outlier is the attack
+        whose M2 runs put recipients with equal camp and acceptance
+        bits but different own values into one round, so it fails if
+        the own value ever leaves the key.)"""
+        function = MSRFunction(
+            IdentityReduction(), SelectAll(), name="mean-all"
+        )
+        config = mobile_config(
+            model=model, f=2, algorithm=function, attack=attack, seed=3,
+            family="tseng", rounds=10,
+        )
+        grouped = _tseng_lite(config, group_inboxes=True)
+        reference = _tseng_lite(config, group_inboxes=False)
+        assert repr(grouped.round_extents) == repr(reference.round_extents)
+        assert grouped.decisions == reference.decisions
 
     def test_full_detail_matches_lite_trajectory(self):
         config = mobile_config(model="M2", f=1, family="tseng")

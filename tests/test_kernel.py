@@ -233,7 +233,7 @@ class TestVectorizedEquivalence:
     def test_families_and_models_bit_identical(self, family, model):
         from repro.api import mobile_config
 
-        for attack in ("split", "outlier", "crossfire"):
+        for attack in ("split", "outlier", "crossfire", "noise"):
             config = mobile_config(
                 model=model, f=2, attack=attack, seed=5,
                 rounds=8, family=family,
@@ -796,7 +796,64 @@ class TestRecipientCamps:
     def test_strategies_without_camps_stay_dict(self):
         view = self._view()
         assert InertiaAttack().attack_camps(view, 0) is None
-        assert RandomNoise().attack_camps(view, 0) is None
+
+    @pytest.mark.parametrize(
+        "camps_hook, reference",
+        [
+            (
+                "attack_camps",
+                lambda strategy, view, sender: {
+                    q: strategy.attack_message(view, sender, q)
+                    for q in range(view.n)
+                },
+            ),
+            (
+                "attack_camps",
+                lambda strategy, view, sender: strategy.attack_outbox(
+                    view, sender, range(view.n)
+                ),
+            ),
+            (
+                "planted_camps",
+                lambda strategy, view, sender: strategy.planted_outbox(
+                    view, sender, range(view.n)
+                ),
+            ),
+        ],
+        ids=["attack-vs-messages", "attack-vs-outbox", "planted-vs-outbox"],
+    )
+    def test_rng_camps_draw_the_per_message_sequence(self, camps_hook, reference):
+        """RNG-consuming camps: same values, same draws, same rng state.
+
+        Two views with identically seeded rngs: one plans through the
+        camp hook, the other through the per-recipient reference.  Every
+        sender's values must agree bit for bit, and both rngs must end
+        in the same state -- otherwise every later draw of the run
+        would diverge.
+        """
+        strategy = RandomNoise(spread=3.0)
+        camp_view, reference_view = self._view(), self._view()
+        for sender in sorted(camp_view.positions):
+            camps = getattr(strategy, camps_hook)(camp_view, sender)
+            outbox = CampOutbox(camps.validate(camp_view.n, "test"))
+            expected = reference(strategy, reference_view, sender)
+            assert list(outbox.items()) == list(expected.items())
+            assert all(type(value) is float for value in outbox.values())
+            assert (
+                camp_view.rng.getstate() == reference_view.rng.getstate()
+            )
+        # The draws are real: different senders hear different values.
+        assert len(set(outbox.values())) == camp_view.n
+
+    def test_identity_assignment_shared_across_senders(self):
+        view = self._view()
+        strategy = RandomNoise()
+        first = strategy.attack_camps(view, 0)
+        second = strategy.attack_camps(view, 4)
+        planted = strategy.planted_camps(view, 8)
+        assert first.assignment is second.assignment is planted.assignment
+        assert tuple(first.assignment) == tuple(range(view.n))
+        assert first.values != second.values
 
     def test_planted_camps_default_to_attack_camps(self):
         view = self._view()

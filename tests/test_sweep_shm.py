@@ -393,8 +393,9 @@ class TestForcedShmBitIdentity:
 
     def test_mixed_families_and_topologies(self):
         grid = GridSpec(
-            models=("M2",),
+            models=("M2", "M3"),
             fs=(1,),
+            attacks=("split", "noise", "crossfire"),
             families=("bonomi", "tseng", "witness"),
             topologies=("complete", "ring:3"),
             seeds=range(2),
