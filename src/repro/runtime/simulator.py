@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import filterfalse
 from types import MappingProxyType
 from typing import Literal
 
@@ -1144,18 +1145,22 @@ class SynchronousSimulator:
         :class:`~repro.runtime.trace.BroadcastOutbox` per broadcaster
         (instead of an ``n``-entry dict), and
         ``received``/``heard``/``applications`` are lazy per-recipient
-        views derived from ``sent`` on demand -- the P1/P2 checkers read
-        only ``applications[*].result``, which is O(1), so full traces
-        stop paying the ``n^2`` bookkeeping that made them an order of
-        magnitude slower than lite.
+        views derived from ``sent`` on demand.  ``sent`` is built in one
+        pass over the pre-send values, then patched in the send rule's
+        precedence -- cured-aware silence, then ``forced_silent``, then
+        overrides -- the rule the array round already assumes when it
+        masks the broadcasts.  A passing P1/P2 check reads only the
+        broadcast values and the results (one C-level pass each); the
+        per-recipient views are built only to word a failing round's
+        details.  Termination reads the same array extent as the lite
+        loop, so no per-round multiset is built here either.
         """
         n = self.config.n
-        protocol = self.protocol
-        cured_aware = self._cured_aware
         trace = self._trace
         termination = self.config.termination
         terminated = False
-        self._lite_evaluate = self.kernel.prepare(protocol)
+        everyone = tuple(range(n))
+        self._lite_evaluate = self.kernel.prepare(self.protocol)
         arr = _np.array(
             [self._values[pid] for pid in range(n)], dtype=_np.float64
         )
@@ -1166,28 +1171,27 @@ class SynchronousSimulator:
             plan, before_arr, arr = self._advance_round_vectorized(
                 batch, arr, first_round
             )
-            values_before = dict(enumerate(before_arr.tolist()))
+            before = before_arr.tolist()
+            values_before = dict(enumerate(before))
             values_after = dict(enumerate(arr.tolist()))
 
-            overrides = plan.send_overrides
-            sent: dict = {}
-            for pid in range(n):
-                outbox = overrides.get(pid)
-                if outbox is not None:
-                    # The plan's outboxes are immutable round snapshots
-                    # (frozen dicts / CampOutbox); storing them directly
-                    # keeps the recorder O(#camps) per override sender
-                    # instead of materializing n-entry dicts.
-                    sent[pid] = outbox
-                    continue
-                if pid in plan.forced_silent:
+            sent: dict = {
+                pid: BroadcastOutbox(n, value) for pid, value in enumerate(before)
+            }
+            if self._cured_aware:
+                for pid in plan.cured_at_send:
                     sent[pid] = None
-                    continue
-                aware_cured = cured_aware and pid in plan.cured_at_send
-                value = protocol.send_value(pid, values_before[pid], aware_cured)
-                sent[pid] = None if value is None else BroadcastOutbox(n, value)
-            computing = tuple(
-                pid for pid in range(n) if pid not in plan.compute_corruptions
+            for pid in plan.forced_silent:
+                sent[pid] = None
+            # The plan's outboxes are immutable round snapshots (frozen
+            # dicts / CampOutbox); storing them directly keeps the
+            # recorder O(#camps) per override sender.
+            sent.update(plan.send_overrides)
+            garbage = plan.compute_corruptions
+            computing = (
+                tuple(filterfalse(garbage.__contains__, everyone))
+                if garbage
+                else everyone
             )
             received = _LazyReceived(sent, computing)
             record = RoundRecord(
@@ -1200,7 +1204,7 @@ class SynchronousSimulator:
                 received=received,
                 heard=_LazyHeard(sent, computing),
                 applications=_LazyApplications(
-                    received, values_after, protocol.compute
+                    received, values_after, self.protocol.compute
                 ),
                 values_after=MappingProxyType(values_after),
                 static_classes=plan.static_classes,
@@ -1211,9 +1215,11 @@ class SynchronousSimulator:
                 )
             trace.rounds.append(record)
             self._round_index += 1
+            extent = self._array_extent(arr, plan.positions_after)
+            nonfaulty_diameter = 0.0 if extent is None else extent[1] - extent[0]
             if self.family.decision_ready(round_index) and termination.should_stop(
                 round_index,
-                record.nonfaulty_diameter_after(),
+                nonfaulty_diameter,
                 self._first_round_received_diameter,
             ):
                 terminated = True

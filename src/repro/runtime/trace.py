@@ -17,7 +17,7 @@ extents (min/max) instead of full message matrices.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from ..faults.mixed_mode import FaultClass
@@ -122,15 +122,39 @@ class _LazyWireMapping(Mapping):
 
 
 class _LazyReceived(_LazyWireMapping):
-    """``received[q]``: the multiset ``q`` aggregated, built on demand."""
+    """``received[q]``: the multiset ``q`` aggregated, built on demand.
 
-    __slots__ = ()
+    The non-silent outboxes are put in ascending sender order once per
+    round, on the first read, and that order is shared by every
+    recipient built afterwards.
+    """
+
+    __slots__ = ("_outboxes",)
+
+    def __init__(
+        self,
+        sent: Mapping[int, Mapping[int, float] | None],
+        computing: tuple[int, ...],
+    ) -> None:
+        super().__init__(sent, computing)
+        self._outboxes: list[Mapping[int, float]] | None = None
 
     def _build(self, pid: int) -> ValueMultiset:
+        outboxes = self._outboxes
+        if outboxes is None:
+            sent = self._sent
+            outboxes = [
+                sent[sender]
+                for sender in sorted(sent)
+                if sent[sender] is not None
+            ]
+            self._outboxes = outboxes
         values = []
-        for sender in sorted(self._sent):
-            outbox = self._sent[sender]
-            if outbox is not None and pid in outbox:
+        for outbox in outboxes:
+            if type(outbox) is BroadcastOutbox:
+                if 0 <= pid < outbox.n:
+                    values.append(outbox.value)
+            elif pid in outbox:
                 values.append(outbox[pid])
         return ValueMultiset(values)
 
@@ -152,9 +176,11 @@ class _LazyApplications(Mapping):
     """``applications[q]`` with O(1) results and on-demand stages.
 
     The computed result per pid is already known (it is the end-of-round
-    value), so the P1/P2 checkers run in O(n) per round; the full
-    reduced/selected stage breakdown is recomputed from the received
-    multiset only if some consumer actually reads it.
+    value), so :meth:`results` hands the P1/P2 checkers every result in
+    one pass without creating a :class:`_LazyApplication` per pid.  The
+    full reduced/selected stage breakdown is recomputed from the
+    received multiset only if some consumer actually reads it -- the
+    checkers do so only to word the details of a failing round.
     """
 
     __slots__ = ("_received", "_results", "_compute", "_cache")
@@ -178,6 +204,10 @@ class _LazyApplications(Mapping):
             app = _LazyApplication(self, pid, self._results[pid])
             self._cache[pid] = app
         return app
+
+    def results(self) -> list[float]:
+        """Every computed result, in iteration (computing pid) order."""
+        return list(map(self._results.__getitem__, self._received))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._received)
@@ -292,15 +322,27 @@ class RoundRecord:
         everyone = frozenset(self.values_after)
         return everyone - self.positions_after
 
-    def sent_value_multiset(self, senders: frozenset[int]) -> ValueMultiset:
-        """Multiset of the values broadcast by the given (honest) senders."""
+    def sent_values(self, senders: Iterable[int]) -> list[float]:
+        """Values broadcast by the given (honest) senders, as a plain list.
+
+        Silent senders contribute nothing.  Honest senders broadcast one
+        value, so any entry of the outbox is it; a
+        :class:`BroadcastOutbox` is read through its ``value`` slot.
+        The list is unsorted and unscreened: :meth:`sent_value_multiset`
+        sorts it and rejects NaN.
+        """
         values = []
-        for pid in senders:
-            outbox = self.sent.get(pid)
-            if outbox:
-                # Honest senders broadcast one value; take any entry.
+        for outbox in map(self.sent.get, senders):
+            if type(outbox) is BroadcastOutbox:
+                if outbox.n:
+                    values.append(outbox.value)
+            elif outbox:
                 values.append(next(iter(outbox.values())))
-        return ValueMultiset(values)
+        return values
+
+    def sent_value_multiset(self, senders: Iterable[int]) -> ValueMultiset:
+        """Multiset of the values broadcast by the given (honest) senders."""
+        return ValueMultiset(self.sent_values(senders))
 
     def honest_sent_values(self) -> ValueMultiset:
         """The paper's ``U``: values generated by correct processes.
@@ -309,6 +351,17 @@ class RoundRecord:
         their round behaviour as a (benign/symmetric/asymmetric) fault.
         """
         return self.sent_value_multiset(self.correct_at_send)
+
+    def computed_results(self) -> list[float]:
+        """The computing processes' results, as a plain list.
+
+        Reads a lazily recorded round's results in one pass, without
+        creating a per-pid application object.
+        """
+        applications = self.applications
+        if type(applications) is _LazyApplications:
+            return applications.results()
+        return [application.result for application in applications.values()]
 
     def nonfaulty_values_after(self) -> dict[int, float]:
         """End-of-round values of processes not occupied afterwards."""

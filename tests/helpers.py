@@ -110,3 +110,97 @@ def reference_sweep(cells, trace_detail="lite", probe=None):
         cells=tuple(sorted(results, key=lambda result: result.key)),
         trace_detail=trace_detail,
     )
+
+
+def reference_check_trace(trace, epsilon=None):
+    """The per-pid reference of :func:`repro.core.specification.check_trace`.
+
+    Validity, P1 and P2 are decided and worded by per-process loops
+    over freshly sorted ``ValueMultiset``s -- the checkers as they were
+    before their passing path became a few ``min``/``max`` passes.  The
+    library's verdict on a full trace must equal this one check for
+    check: ``holds``, ``details`` and ``skipped``.
+    """
+    from repro.core.specification import (
+        FLOAT_TOLERANCE,
+        PropertyCheck,
+        SpecVerdict,
+        check_epsilon_agreement,
+        check_termination,
+    )
+
+    def round_p1(record):
+        violations = []
+        honest = record.honest_sent_values()
+        if len(honest) == 0:
+            return violations
+        interval = honest.range()
+        for pid, application in record.applications.items():
+            if not interval.contains(application.result, FLOAT_TOLERANCE):
+                violations.append(
+                    f"round {record.round_index} p{pid}: "
+                    f"{application.result:.4g} "
+                    f"outside [{interval.low:.4g}, {interval.high:.4g}]"
+                )
+        return violations
+
+    def round_p2(record):
+        violations = []
+        honest = record.honest_sent_values()
+        if len(honest) == 0:
+            return violations
+        delta = honest.diameter()
+        results = [
+            record.applications[pid].result
+            for pid in sorted(record.applications)
+        ]
+        if not results:
+            return violations
+        spread = max(results) - min(results)
+        if delta <= FLOAT_TOLERANCE:
+            if spread > FLOAT_TOLERANCE:
+                violations.append(
+                    f"round {record.round_index}: spread {spread:.4g} "
+                    "with agreeing correct senders"
+                )
+        elif spread >= delta - FLOAT_TOLERANCE and spread > FLOAT_TOLERANCE:
+            violations.append(
+                f"round {record.round_index}: spread {spread:.4g} "
+                f"not strictly below delta(U)={delta:.4g}"
+            )
+        return violations
+
+    def per_round(name, round_check):
+        violations = []
+        for record in trace.rounds:
+            violations.extend(round_check(record))
+        holds = not violations
+        return PropertyCheck(name, holds, "" if holds else "; ".join(violations[:5]))
+
+    def validity():
+        interval = trace.validity_interval()
+        out_of_range = []
+        for pid, value in trace.decisions.items():
+            if not interval.contains(value, FLOAT_TOLERANCE):
+                out_of_range.append(f"decision p{pid}={value:.4g}")
+        for record in trace.rounds:
+            for pid, value in record.nonfaulty_values_after().items():
+                if not interval.contains(value, FLOAT_TOLERANCE):
+                    out_of_range.append(
+                        f"round {record.round_index} p{pid}={value:.4g}"
+                    )
+        holds = not out_of_range
+        details = (
+            f"range [{interval.low:.4g}, {interval.high:.4g}]"
+            if holds
+            else "; ".join(out_of_range[:5])
+        )
+        return PropertyCheck("Validity", holds, details)
+
+    return SpecVerdict(
+        termination=check_termination(trace),
+        epsilon_agreement=check_epsilon_agreement(trace, epsilon),
+        validity=validity(),
+        p1=per_round("P1", round_p1),
+        p2=per_round("P2", round_p2),
+    )

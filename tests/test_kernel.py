@@ -281,6 +281,67 @@ class TestVectorizedEquivalence:
             assert lite.rounds_executed() == full.rounds_executed()
 
 
+def _full_pair(config):
+    """``(vectorized recorder trace, step() reference trace)``."""
+    vectorized = SynchronousSimulator(config, trace_detail="full").run()
+    reference = SynchronousSimulator(
+        config, trace_detail="full", kernel=RoundKernel(**REFERENCE_MODE)
+    ).run()
+    # The default kernel must really have taken the array recorder.
+    assert type(vectorized.rounds[-1].received).__name__ == "_LazyReceived"
+    assert type(reference.rounds[-1].received).__name__ == "mappingproxy"
+    return vectorized, reference
+
+
+def _assert_same_records(vectorized, reference):
+    assert vectorized.rounds == reference.rounds
+    assert vectorized.decisions == reference.decisions
+    assert vectorized.terminated == reference.terminated
+    assert vectorized.initially_nonfaulty == reference.initially_nonfaulty
+
+
+class TestFullRecorderEquivalence:
+    """The array full-trace recorder equals ``step()`` record for record:
+    ``sent`` (broadcasts, overrides, every kind of silence), the derived
+    ``received``/``heard``/``applications`` views, and the values."""
+
+    @pytest.mark.parametrize("movement", ["round-robin", "random"])
+    @pytest.mark.parametrize("attack", ["split", "outlier", "noise", "crossfire"])
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    def test_mobile_rounds_equal_step(self, model, attack, movement):
+        from repro.api import mobile_config
+
+        config = mobile_config(
+            model=model, f=2, attack=attack, movement=movement, seed=5,
+            rounds=8,
+        )
+        _assert_same_records(*_full_pair(config))
+
+    def test_static_mixed_forced_silence_equals_step(self):
+        cell = next(
+            cell for cell in _scenario_cells() if cell.scenario == "static-mixed"
+        )
+        vectorized, reference = _full_pair(cell.to_config())
+        # Benign faults are forced silent: their sent entry is None.
+        assert any(
+            record.sent[pid] is None
+            for record in vectorized.rounds
+            for pid in record.faulty_at_send
+        )
+        _assert_same_records(vectorized, reference)
+
+    def test_m1_cured_aware_silence_equals_step(self):
+        cell = next(cell for cell in _scenario_cells() if cell.model == "M1")
+        vectorized, reference = _full_pair(cell.to_config())
+        # M1 processes know they are cured and stay silent.
+        assert any(
+            record.sent[pid] is None
+            for record in vectorized.rounds
+            for pid in record.cured_at_send
+        )
+        _assert_same_records(vectorized, reference)
+
+
 class TestOutboxBatchEquivalence:
     """Batch outbox hooks reproduce the per-message calls exactly."""
 
