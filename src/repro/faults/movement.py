@@ -22,7 +22,7 @@ try:  # numpy is optional: every strategy has a scalar path.
 except Exception:  # pragma: no cover - exercised only without numpy
     _np = None
 
-from .view import AdversaryView
+from .view import AdversaryView, StackView
 
 __all__ = [
     "MovementStrategy",
@@ -45,6 +45,23 @@ class MovementStrategy(ABC):
     @abstractmethod
     def next_positions(self, view: AdversaryView) -> frozenset[int]:
         """Agent positions for the next movement step."""
+
+    def next_positions_many(self, stack: StackView) -> list[frozenset[int]]:
+        """Next agent positions for every row of a stack of runs.
+
+        The cross-run planner's batch form of :meth:`next_positions`:
+        row ``r`` of the result must equal -- including its iteration
+        order -- what :meth:`next_positions` returns on
+        ``stack.view(r)``, and rows that draw randomness draw exactly
+        the scalar sequence from ``stack.rngs[r]``.  The planner hands
+        an override only rows whose strategies are of one class with
+        equal attributes, so an override may treat them as one
+        strategy.  This base form loops the scalar hook per row, in
+        row order; the planner calls it once per run (a strategy with
+        per-instance state, such as :class:`ScriptedMovement`, keeps
+        it).
+        """
+        return [self.next_positions(stack.view(row)) for row in range(len(stack))]
 
     def describe(self) -> str:
         """Short name used in experiment tables."""
@@ -77,6 +94,9 @@ class StaticAgents(MovementStrategy):
 
     def next_positions(self, view: AdversaryView) -> frozenset[int]:
         return view.positions
+
+    def next_positions_many(self, stack: StackView) -> list[frozenset[int]]:
+        return list(stack.positions)
 
     def describe(self) -> str:
         return "static"
@@ -112,6 +132,22 @@ class RoundRobinWalk(MovementStrategy):
             moved = frozenset((pid + stride) % view.n for pid in positions)
         return self._validate(moved, view.n, view.f)
 
+    def next_positions_many(self, stack: StackView) -> list[frozenset[int]]:
+        """One ``(positions + stride) % n`` pass over the whole stack.
+
+        Each row is laid out in its frozenset's iteration order, so
+        every new frozenset is built in the scalar path's insertion
+        order and iterates identically.  Rows of unequal size (only
+        hand-placed starts produce them) take the scalar hook.
+        """
+        positions = stack.positions
+        width = len(positions[0])
+        if _np is None or not width or any(len(p) != width for p in positions):
+            return super().next_positions_many(stack)
+        stride = self.stride if self.stride is not None else max(stack.f, 1)
+        hosts = _np.array([list(p) for p in positions], dtype=_np.int64)
+        return list(map(frozenset, ((hosts + stride) % stack.n).tolist()))
+
     def describe(self) -> str:
         return f"round-robin(stride={self.stride or 'f'})"
 
@@ -139,6 +175,19 @@ class RandomJump(MovementStrategy):
         return self._validate(
             frozenset(view.rng.sample(range(view.n), count)), view.n, view.f
         )
+
+    def next_positions_many(self, stack: StackView) -> list[frozenset[int]]:
+        """Each row's draws from its own rng, in the scalar order."""
+        probability = self.move_probability
+        population = range(stack.n)
+        count = min(stack.f, stack.n)
+        moved = []
+        for positions, rng in zip(stack.positions, stack.rngs):
+            if rng.random() > probability:
+                moved.append(positions)
+            else:
+                moved.append(frozenset(rng.sample(population, count)))
+        return moved
 
     def describe(self) -> str:
         if self.move_probability >= 1.0:

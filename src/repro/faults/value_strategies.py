@@ -24,10 +24,16 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .view import AdversaryView
+try:  # numpy is optional: every strategy has a scalar path.
+    import numpy as _np
+except Exception:  # pragma: no cover - exercised only without numpy
+    _np = None
+
+from .view import AdversaryView, StackView
 
 __all__ = [
     "ValueStrategy",
@@ -41,6 +47,7 @@ __all__ = [
     "OscillatingAttack",
     "InertiaAttack",
     "CrossfireAttack",
+    "array_hook",
 ]
 
 
@@ -163,6 +170,14 @@ class CampOutbox(Mapping):
         # must stay callable.
         self.camp_values: Sequence[float] = tuple(map(float, camps.values))
         self.assignment: Sequence[int] = camps.assignment
+
+    @classmethod
+    def of(cls, camp_values: tuple[float, ...], assignment) -> "CampOutbox":
+        """An outbox from already-validated parts (a tuple of floats)."""
+        outbox = cls.__new__(cls)
+        outbox.camp_values = camp_values
+        outbox.assignment = assignment
+        return outbox
 
     def __getitem__(self, pid: int) -> float:
         if isinstance(pid, int) and 0 <= pid < len(self.assignment):
@@ -342,12 +357,132 @@ class ValueStrategy(ABC):
         """State an occupied process ends the round with."""
         return self.departure_value(view, pid)
 
+    # -- array forms for the cross-run planner ---------------------------------
+    #
+    # The cross-run planner plans one round for a whole stack of runs.
+    # A strategy that can state its choices as array formulas over the
+    # stack overrides these hooks; row ``r`` of ``stack``
+    # (:class:`~repro.faults.view.StackView`) is one run, whose view
+    # reads ``stack.values[r]`` (pre-corruption for departures, patched
+    # for attacks and computes) and whose correct range is
+    # ``[stack.low[r], stack.high[r]]``.  Each hook must return exactly
+    # what the scalar hook it mirrors returns on that run's view, and a
+    # hook that draws randomness must draw each row's values from
+    # ``stack.rngs[r]`` in the scalar order.  The planner calls a run's
+    # hooks in the per-cell order -- departures, then attacks per
+    # sender in ``positions`` order, then planted queues, then
+    # computes -- so each run's rng advances as it would per cell.  An
+    # override is used only while the scalar hooks it mirrors are the
+    # ones of the class that defines it (see :func:`array_hook`): a
+    # subclass customizing a scalar hook falls back to it.
+    #
+    # The base forms return ``None`` (no array form): the planner then
+    # plans that run whole with ``MobileFaultController.plan_round``,
+    # which calls the scalar hooks above in per-cell order.
+
+    def attack_camps_many(
+        self, stack: StackView, senders: list[list[int]]
+    ) -> tuple[object, list[list[tuple[float, ...]]]] | None:
+        """Camp outboxes of ``senders[r]`` for every row, or ``None``.
+
+        Returns ``(codes, camp_values)``.  ``codes`` is the recipient
+        partition: an ``(R, n)`` integer array (row ``r`` shared by
+        every sender of run ``r``) or one :class:`CampAssignment`
+        shared by every row.  ``camp_values[r]`` holds one tuple of
+        float camp values per sender of ``senders[r]``, in order.
+        Mirrors :meth:`attack_camps`; M3 planted queues reuse it when
+        the planted hooks are not customized.
+        """
+        return None
+
+    def departure_values_many(
+        self, stack: StackView, pids: Sequence[Collection[int]]
+    ) -> list[list[float]] | None:
+        """Departure value per pid of ``pids[r]`` for every row, or ``None``.
+
+        Mirrors :meth:`departure_value` (``stack.values`` is the
+        pre-corruption snapshot here).
+        """
+        return None
+
+    def corrupted_computes_many(
+        self, stack: StackView, pids: Sequence[Collection[int]]
+    ) -> list[list[float]] | None:
+        """Corrupted-compute value per pid of ``pids[r]``, or ``None``.
+
+        Mirrors :meth:`corrupted_compute`.
+        """
+        return None
+
     def describe(self) -> str:
         """Short name used in experiment tables."""
         return type(self).__name__
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+#: The scalar hooks each array hook mirrors.
+_MIRRORS = {
+    "attack_camps_many": ("attack_message", "attack_outbox", "attack_camps"),
+    "departure_values_many": ("departure_value", "attack_message"),
+    "corrupted_computes_many": (
+        "corrupted_compute",
+        "departure_value",
+        "attack_message",
+    ),
+}
+
+
+def array_hook(strategy: ValueStrategy, name: str):
+    """``strategy``'s array hook ``name`` (bound), or ``None``.
+
+    ``None`` when no class below :class:`ValueStrategy` defines the
+    hook, or when a subclass of the defining class overrides one of
+    the scalar hooks the array form mirrors -- the array formula would
+    then silently disagree with the customized scalar behaviour.
+    """
+    cls = type(strategy)
+    owner = next(klass for klass in cls.__mro__ if name in vars(klass))
+    if owner is ValueStrategy:
+        return None
+    for mirrored in _MIRRORS[name]:
+        if getattr(cls, mirrored) is not getattr(owner, mirrored):
+            return None
+    return getattr(strategy, name)
+
+
+@lru_cache(maxsize=64)
+def _shared_assignment(kind: str, n: int) -> CampAssignment:
+    """A constant partition (every row, every round) with its mirror."""
+    if kind == "zero":
+        codes = _np.zeros(n, dtype=_np.int64)
+    elif kind == "parity":
+        codes = _np.arange(n, dtype=_np.int64) % 2
+    else:
+        codes = _np.arange(n, dtype=_np.int64)
+    codes.setflags(write=False)
+    assignment = CampAssignment(codes.tolist())
+    assignment.array = codes
+    return assignment
+
+
+def _split_codes(stack: StackView):
+    """Per-row bisection partition: camp 1 above the correct midpoint.
+
+    The whole-stack form of :func:`_split_assignment` on array-backed
+    snapshots (which cover every pid, so the parity fallback never
+    applies).
+    """
+    mids = _np.array(stack.midpoints(), dtype=_np.float64)
+    return (stack.values > mids[:, None]).astype("i8")
+
+
+def _per_pid(
+    values: list[float], pids: Sequence[Collection[int]]
+) -> list[list[float]]:
+    """One pid-independent value per row, fanned out over its pids."""
+    return [[value] * len(row) for value, row in zip(values, pids)]
 
 
 def _zero_assignment(view: AdversaryView) -> tuple[int, ...]:
@@ -423,6 +558,17 @@ class FixedValue(ValueStrategy):
             values=(self.value,), assignment=_zero_assignment(view)
         )
 
+    def attack_camps_many(self, stack, senders):
+        camp = (self.value,)
+        return _shared_assignment("zero", stack.n), [
+            [camp] * len(row) for row in senders
+        ]
+
+    def departure_values_many(self, stack, pids):
+        return _per_pid([self.value] * len(pids), pids)
+
+    corrupted_computes_many = departure_values_many
+
     def describe(self) -> str:
         return f"fixed({self.value:g})"
 
@@ -494,6 +640,26 @@ class SplitAttack(ValueStrategy):
             values=(low, high), assignment=_split_assignment(view)
         )
 
+    def _ends(self, stack: StackView):
+        lows = stack.low if self.low is None else [float(self.low)] * len(stack)
+        highs = (
+            stack.high if self.high is None else [float(self.high)] * len(stack)
+        )
+        return lows, highs
+
+    def attack_camps_many(self, stack, senders):
+        lows, highs = self._ends(stack)
+        return _split_codes(stack), [
+            [(low, high)] * len(row)
+            for low, high, row in zip(lows, highs, senders)
+        ]
+
+    def departure_values_many(self, stack, pids):
+        # The symmetric attack value: the range maximum.
+        return _per_pid(self._ends(stack)[1], pids)
+
+    corrupted_computes_many = departure_values_many
+
     def describe(self) -> str:
         if self.low is None and self.high is None:
             return "split(range)"
@@ -542,6 +708,19 @@ class OutlierAttack(ValueStrategy):
             values=(interval.high + self.magnitude, interval.low - self.magnitude),
             assignment=_parity_assignment(view),
         )
+
+    def attack_camps_many(self, stack, senders):
+        magnitude = self.magnitude
+        return _shared_assignment("parity", stack.n), [
+            [(high + magnitude, low - magnitude)] * len(row)
+            for low, high, row in zip(stack.low, stack.high, senders)
+        ]
+
+    def departure_values_many(self, stack, pids):
+        magnitude = self.magnitude
+        return _per_pid([high + magnitude for high in stack.high], pids)
+
+    corrupted_computes_many = departure_values_many
 
     def describe(self) -> str:
         return f"outlier({self.magnitude:g})"
@@ -602,6 +781,37 @@ class RandomNoise(ValueStrategy):
             assignment=_identity_assignment(view),
         )
 
+    def _envelopes(self, stack: StackView):
+        """Per-row ``(low, width)`` of the envelope, as :meth:`_envelope`."""
+        spread = self.spread
+        for low, high in zip(stack.low, stack.high):
+            center = (low + high) / 2.0
+            half_width = max(high - low, 1e-9) * spread / 2.0
+            envelope_low = center - half_width
+            yield envelope_low, (center + half_width) - envelope_low
+
+    def attack_camps_many(self, stack, senders):
+        # The envelope is fixed within a round, so each row's f x n
+        # draws are one comprehension, in sender-then-recipient order.
+        n = stack.n
+        camp_values = []
+        for (low, width), rng, row in zip(self._envelopes(stack), stack.rngs, senders):
+            draw = rng.random
+            flat = iter([low + width * draw() for _ in range(n * len(row))])
+            camp_values.append(list(zip(*[flat] * n)))
+        return _shared_assignment("identity", n), camp_values
+
+    def departure_values_many(self, stack, pids):
+        # random.uniform(a, b) is a + (b - a) * random(): one draw per pid.
+        return [
+            [low + width * draw() for _ in row]
+            for (low, width), draw, row in zip(
+                self._envelopes(stack), (rng.random for rng in stack.rngs), pids
+            )
+        ]
+
+    corrupted_computes_many = departure_values_many
+
     def describe(self) -> str:
         return f"noise(spread={self.spread:g})"
 
@@ -633,6 +843,16 @@ class EchoCorrect(ValueStrategy):
         return RecipientCamps(
             values=(view.correct_midpoint(),), assignment=_zero_assignment(view)
         )
+
+    def attack_camps_many(self, stack, senders):
+        return _shared_assignment("zero", stack.n), [
+            [(mid,)] * len(row) for mid, row in zip(stack.midpoints(), senders)
+        ]
+
+    def departure_values_many(self, stack, pids):
+        return _per_pid(stack.midpoints(), pids)
+
+    corrupted_computes_many = departure_values_many
 
     def describe(self) -> str:
         return "echo-correct"
@@ -673,6 +893,19 @@ class OscillatingAttack(ValueStrategy):
         return RecipientCamps(
             values=(value,), assignment=_zero_assignment(view)
         )
+
+    def _pushed(self, stack: StackView) -> list[float]:
+        return stack.low if stack.round_index % 2 == 0 else stack.high
+
+    def attack_camps_many(self, stack, senders):
+        return _shared_assignment("zero", stack.n), [
+            [(value,)] * len(row) for value, row in zip(self._pushed(stack), senders)
+        ]
+
+    def departure_values_many(self, stack, pids):
+        return _per_pid(self._pushed(stack), pids)
+
+    corrupted_computes_many = departure_values_many
 
     def describe(self) -> str:
         return "oscillating"
@@ -790,6 +1023,23 @@ class CrossfireAttack(ValueStrategy):
         return RecipientCamps(
             values=values, assignment=_split_assignment(view)
         )
+
+    def attack_camps_many(self, stack, senders):
+        # The partition is the split's; the two camp values swap with
+        # the sender's parity.
+        return _split_codes(stack), [
+            [(low, high) if sender % 2 == 0 else (high, low) for sender in row]
+            for low, high, row in zip(stack.low, stack.high, senders)
+        ]
+
+    def departure_values_many(self, stack, pids):
+        # Each agent commits to its own extreme.
+        return [
+            [high if pid % 2 == 0 else low for pid in row]
+            for low, high, row in zip(stack.low, stack.high, pids)
+        ]
+
+    corrupted_computes_many = departure_values_many
 
     def describe(self) -> str:
         return "crossfire"

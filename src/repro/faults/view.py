@@ -21,11 +21,11 @@ try:  # numpy is optional: the scalar paths never need it.
 except Exception:  # pragma: no cover - exercised only without numpy
     _np = None
 
-__all__ = ["AdversaryView", "batch_correct_ranges"]
+__all__ = ["AdversaryView", "StackView", "batch_correct_ranges"]
 
 
 def batch_correct_ranges(stack, mask):
-    """Correct-range intervals for a whole stack of runs at once.
+    """Correct-range endpoints for a whole stack of runs at once.
 
     The cross-run planner's batched companion to
     :meth:`AdversaryView._correct_range_from_array`: one masked min/max
@@ -34,22 +34,98 @@ def batch_correct_ranges(stack, mask):
     single numpy pass.  Masked min/max merely *select* elements, so the
     floats are bit-identical to the view's own per-run reduction.
 
-    An entry is ``None`` -- deferring to the view's lazy first-wins
-    scalar rescan, exactly the per-cell behaviour -- when an endpoint
-    is ``0.0`` (either signed zero under numpy's reductions) or the
-    row is fully masked (``inf`` endpoints).  Callers seed surviving
-    intervals onto views as ``_correct_range`` and leave the rest for
-    :meth:`AdversaryView.correct_range` to recompute.
+    Returns ``(lows, highs, exact)`` as lists.  ``exact[r]`` is False
+    when an endpoint is ``0.0`` (either signed zero under numpy's
+    reductions) or the row is fully masked (``inf`` endpoints): the
+    caller must then redo that row the way
+    :meth:`AdversaryView.correct_range` does (first-wins scan for
+    zeros, every value when no process is correct).
     """
     inf = float("inf")
     lows = _np.where(mask, stack, inf).min(axis=1).tolist()
     highs = _np.where(mask, stack, -inf).max(axis=1).tolist()
-    return [
-        None
-        if low == 0.0 or high == 0.0 or low == inf or high == -inf
-        else Interval(low, high)
+    exact = [
+        not (low == 0.0 or high == 0.0 or low == inf or high == -inf)
         for low, high in zip(lows, highs)
     ]
+    return lows, highs, exact
+
+
+class StackView:
+    """One round of a stack of runs, as the adversary sees it.
+
+    The array-form counterpart of :class:`AdversaryView` that the
+    cross-run planner hands to the ``*_many`` strategy hooks
+    (:meth:`~repro.faults.movement.MovementStrategy.next_positions_many`,
+    :meth:`~repro.faults.value_strategies.ValueStrategy.attack_camps_many`
+    and friends).  Row ``r`` describes one run; every run shares
+    ``round_index``, ``n`` and ``f``.
+
+    Attributes
+    ----------
+    positions:
+        Agent hosts per row (frozensets; their iteration order is the
+        order the per-run controller visits senders in).
+    values:
+        The ``(R, n)`` float64 value stack the row's views would read.
+    low, high:
+        Per-row correct-range endpoints (lists of floats), or ``None``
+        for the movement stage, which plans before ranges exist.
+        Both are exactly the endpoints :meth:`AdversaryView.correct_range`
+        returns for the row.
+    rngs:
+        Each row's adversary rng.  A hook that draws must draw each
+        row's values in the order the scalar hooks would.
+
+    In the movement stage, :meth:`view` builds row ``r``'s
+    :class:`AdversaryView` on demand, for movement hooks that loop the
+    scalar strategy method; value hooks read the arrays.
+    """
+
+    __slots__ = (
+        "round_index",
+        "n",
+        "f",
+        "positions",
+        "values",
+        "low",
+        "high",
+        "rngs",
+        "_make_view",
+    )
+
+    def __init__(
+        self,
+        round_index: int,
+        n: int,
+        f: int,
+        positions,
+        values,
+        rngs,
+        make_view=None,
+        low=None,
+        high=None,
+    ) -> None:
+        self.round_index = round_index
+        self.n = n
+        self.f = f
+        self.positions = positions
+        self.values = values
+        self.rngs = rngs
+        self.low = low
+        self.high = high
+        self._make_view = make_view
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def view(self, row: int) -> "AdversaryView":
+        """Row ``row``'s scalar :class:`AdversaryView`."""
+        return self._make_view(row)
+
+    def midpoints(self) -> list[float]:
+        """Per-row correct-range midpoints, as :meth:`Interval.midpoint`."""
+        return [(low + high) / 2.0 for low, high in zip(self.low, self.high)]
 
 
 class _LazyCorrectValues:

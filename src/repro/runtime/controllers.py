@@ -23,6 +23,8 @@ import math
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
@@ -34,13 +36,15 @@ except Exception:  # pragma: no cover - exercised only without numpy
 from ..faults.adversary import Adversary
 from ..faults.mixed_mode import FaultClass, StaticFaultAssignment
 from ..faults.models import CuredSendBehavior, MobileModel, ModelSemantics, get_semantics
+from ..faults.movement import MovementStrategy
 from ..faults.value_strategies import (
     CampAssignment,
     CampOutbox,
-    CrossfireAttack,
-    SplitAttack,
+    RecipientCamps,
+    ValueStrategy,
+    array_hook,
 )
-from ..faults.view import AdversaryView, batch_correct_ranges
+from ..faults.view import AdversaryView, StackView, batch_correct_ranges
 
 __all__ = [
     "RoundPlan",
@@ -613,34 +617,266 @@ class StaticMixedController(FaultController):
         return f"static-mixed{counts}[{self.adversary.describe()}]"
 
 
+#: Adversary methods a subclass may re-route; any override has the
+#: planner plan that run whole through its controller's plan_round.
+_ADVERSARY_VALUE_HOOKS = (
+    "attack_message",
+    "attack_outbox",
+    "attack_camps",
+    "departure_value",
+    "planted_message",
+    "planted_outbox",
+    "planted_camps",
+    "corrupted_compute",
+    "shares_round_outboxes",
+    "shares_scalar_values",
+)
+
+_EMPTY: frozenset[int] = frozenset()
+
+
+def _strategy_key(strategy) -> tuple:
+    """Rows whose strategies share this key may be planned by one of them.
+
+    Same class and equal attributes (compared by ``repr``, so ``0.0``
+    and ``-0.0`` stay apart): the array hooks read nothing else.  The
+    key is taken once, when the planner is built, so a laned strategy
+    must keep its attributes for the run.
+    """
+    attributes = getattr(strategy, "__dict__", None)
+    if attributes is None:
+        return ("instance", id(strategy))
+    return (
+        type(strategy),
+        tuple(sorted((name, repr(value)) for name, value in attributes.items())),
+    )
+
+
+def _movement_lane(adversary: Adversary):
+    """``(lane key, hook)`` of a run's movement step.
+
+    Runs whose movement overrides :meth:`MovementStrategy.next_positions_many`
+    (and keeps the scalar hook of the class defining it) share lanes
+    with equal strategies; every other run is a lane of its own,
+    planned through the scalar hooks.
+    """
+    if type(adversary).next_positions is not Adversary.next_positions:
+        return ("instance", id(adversary)), lambda stack: [
+            adversary.next_positions(stack.view(row)) for row in range(len(stack))
+        ]
+    movement = adversary.movement
+    cls = type(movement)
+    owner = next(k for k in cls.__mro__ if "next_positions_many" in vars(k))
+    if owner is not MovementStrategy and cls.next_positions is owner.next_positions:
+        return _strategy_key(movement), movement.next_positions_many
+    return ("instance", id(movement)), partial(
+        MovementStrategy.next_positions_many, movement
+    )
+
+
+def _value_lane(adversary: Adversary, semantics: ModelSemantics):
+    """``(lane key, (attack, departure, compute) hooks)``, or ``None``.
+
+    ``None`` -- an :class:`Adversary` subclass re-routing a value hook,
+    a strategy without array forms, or customized M3 planted queues --
+    has the planner plan the run whole through its controller's
+    :meth:`MobileFaultController.plan_round`.
+    """
+    cls = type(adversary)
+    if any(
+        getattr(cls, name) is not getattr(Adversary, name)
+        for name in _ADVERSARY_VALUE_HOOKS
+    ):
+        return None
+    strategy = adversary.values
+    hooks = tuple(
+        array_hook(strategy, name)
+        for name in (
+            "attack_camps_many",
+            "departure_values_many",
+            "corrupted_computes_many",
+        )
+    )
+    if None in hooks:
+        return None
+    if semantics.cured_send is CuredSendBehavior.PLANTED_QUEUE:
+        kind = type(strategy)
+        if not (
+            kind.planted_message is ValueStrategy.planted_message
+            and kind.planted_outbox is ValueStrategy.planted_outbox
+            and kind.planted_camps is ValueStrategy.planted_camps
+        ):
+            return None
+    return _strategy_key(strategy), hooks
+
+
+def _flat_index(rows: list[int], sets: list) -> tuple[list[int], list[int]]:
+    """``(rows, cols)`` fancy-index lists of every member of ``sets[i]``."""
+    flat_rows: list[int] = []
+    flat_cols: list[int] = []
+    for i in rows:
+        members = sets[i]
+        flat_rows += [i] * len(members)
+        flat_cols += members
+    return flat_rows, flat_cols
+
+
+def _positions_valid(moved, f: int, n: int) -> bool:
+    """Whether every row holds at most ``f`` agents on valid ids."""
+    if not moved:
+        return True
+    if max(map(len, moved)) > f:
+        return False
+    occupied = frozenset().union(*moved)
+    return not occupied or (min(occupied) >= 0 and max(occupied) < n)
+
+
+def _round_plan(
+    round_index, faulty, cured, after, memory, overrides, computes
+) -> "RoundPlan":
+    """A mobile :class:`RoundPlan`, filled in one ``__dict__`` update.
+
+    Field for field what the dataclass constructor stores (mobile
+    plans leave ``forced_silent`` and ``static_classes`` at their
+    defaults), at a third of the frozen ``__init__``'s cost -- the
+    cross-run planner builds one plan per run per round.
+    """
+    plan = object.__new__(RoundPlan)
+    plan.__dict__.update(
+        round_index=round_index,
+        faulty_at_send=faulty,
+        cured_at_send=cured,
+        positions_after=after,
+        memory_corruptions=memory,
+        send_overrides=overrides,
+        forced_silent=_EMPTY,
+        compute_corruptions=computes,
+        static_classes=None,
+    )
+    return plan
+
+
+def _exact_range(row, mask_row) -> tuple[float, float]:
+    """The correct range of one row, exactly as the view computes it.
+
+    Masked min/max with a ``0.0`` endpoint resolved by the first-wins
+    scan (either signed zero compares equal); a row with no correct
+    process ranges over every value (see
+    :meth:`AdversaryView._correct_range_from_array`).
+    """
+    sub = row[mask_row]
+    if not sub.shape[0]:
+        sub = row
+    low = sub.min()
+    high = sub.max()
+    if low == 0.0:
+        low = sub[int(_np.argmax(sub == 0.0))]
+    if high == 0.0:
+        high = sub[int(_np.argmax(sub == 0.0))]
+    return float(low), float(high)
+
+
+class _Layout:
+    """One active set's split into movement and value lanes."""
+
+    __slots__ = (
+        "runs",
+        "rngs",
+        "movers",
+        "valuers",
+        "planted",
+        "m4",
+        "scalar",
+        "live",
+        "placing",
+        "moving",
+        "lanes",
+    )
+
+
+def _value_lanes(rows: list[int], layout: _Layout) -> list[tuple]:
+    """Group ``rows`` by value lane.
+
+    Each lane is ``(rows, hooks, shared, planted, m4_moving)``:
+    ``hooks`` the first run's array hooks, ``shared`` whether one
+    outbox serves every sender, ``planted`` whether cured senders run
+    M3 planted queues, and ``m4_moving`` the lane's M4 rows grouped by
+    movement lane as ``(rows, hook)``.
+    """
+    grouped: dict = {}
+    for i in rows:
+        grouped.setdefault(
+            (layout.valuers[i][0], layout.planted[i]), []
+        ).append(i)
+    lanes = []
+    for (key, planted), lane_rows in grouped.items():
+        moving: dict = {}
+        for i in lane_rows:
+            if layout.m4[i]:
+                moving.setdefault(layout.movers[i][0], []).append(i)
+        lanes.append(
+            (
+                lane_rows,
+                layout.valuers[lane_rows[0]][1],
+                key[2],
+                planted,
+                [(m, layout.movers[m[0]][1]) for m in moving.values()],
+            )
+        )
+    return lanes
+
+
 class CrossRunPlanner:
     """Batched per-round fault planning for R lockstep mobile runs.
 
     The cross-run engine (:func:`repro.runtime.simulator.simulate_many`)
     advances a whole batch of compatible runs on one ``(R, n)`` state
     matrix; this planner produces each run's :class:`RoundPlan` for a
-    round while hoisting the numpy-heavy pieces of
-    :meth:`MobileFaultController.plan_round` -- exclusion masks,
-    correct-range reductions, memory-corruption patching and split-camp
-    assignment codes -- into single whole-matrix passes.
+    round in a few whole-stack passes:
 
-    Bit-identity with per-run planning is preserved by construction:
+    * movement -- runs are grouped into *lanes* of equal movement
+      strategies, and each lane moves in one
+      :meth:`~repro.faults.movement.MovementStrategy.next_positions_many`
+      call (one ``(positions + stride) % n`` array pass for the
+      round-robin walk);
+    * exclusion masks and correct ranges -- one masked min/max over the
+      stack (:func:`~repro.faults.view.batch_correct_ranges`);
+    * departures, attack camps, M3 planted queues and compute
+      corruptions -- lanes of equal value strategies call the array
+      hooks of :class:`~repro.faults.value_strategies.ValueStrategy`
+      (``departure_values_many``, ``attack_camps_many``,
+      ``corrupted_computes_many``) once per lane; the memory-corruption
+      patch is one fancy-indexed assignment;
+    * adversary outputs are checked per lane (finite values, camp
+      indices within the declared camps, agent counts and ids); a
+      failing lane replays the per-sender checks to raise the scalar
+      path's exact message.
 
-    * every per-run decision (movement, per-sender outboxes, scalar
-      corruption values) still runs through the run's own controller,
-      adversary and RNG stream in the exact per-cell order, so RNG
-      consumption is unchanged;
-    * batched quantities are injected through the same sanctioned
-      seams the per-cell fast path already uses (``_range_mask`` /
-      ``_correct_range`` on :class:`AdversaryView`, the ``camps-split``
-      view memo), and only when the batched value is provably the one
-      the view would derive itself -- signed-zero endpoints and empty
-      masks fall back to the view's own lazy recomputation.
+    Bit-identity with :meth:`MobileFaultController.plan_round` is the
+    contract, down to iteration orders: each plan is materialized per
+    run with the same frozensets (built in the scalar insertion order),
+    the same :class:`CampOutbox` sharing and the same mapping orders.
+    The rng-order contract: a run's draws happen in per-cell order --
+    movement, then departures, then attacks per sender in ``positions``
+    iteration order, then planted queues, then computes (M4: attacks,
+    movement, computes) -- because every stage runs lane by lane and
+    each run draws only from its own rng.
 
-    Runs may mix models, movements and attacks (each row plans through
-    its own controller); they must share ``n``.  Round 0 never reaches
-    the planner -- the engine plans it per run, which also initializes
-    agent positions.
+    Runs whose value strategy has no array form (the base hooks) or
+    whose :class:`Adversary` subclass re-routes a value hook are
+    planned whole by their own :meth:`MobileFaultController.plan_round`
+    inside the same call -- the scalar reference path.
+
+    Runs may mix models, movements and attacks; they must share ``n``.
+    Round 0 never reaches the planner -- the engine plans it per run,
+    which also initializes agent positions.
+
+    After each call the planner keeps the round's position arrays for
+    the engine, which builds its silence and extent masks from them
+    without re-reading the plans: :attr:`mask` (the ``(R, n)``
+    exclusion mask, False at agent hosts and cured processes),
+    :attr:`hosts_index` and :attr:`after_index` (``(rows, cols)``
+    fancy-index lists of the hosts at send time and after the round).
     """
 
     def __init__(self, controllers, rngs, wrap) -> None:
@@ -655,10 +891,65 @@ class CrossRunPlanner:
         #: Array-backed Mapping constructor (ArrayValues, injected to
         #: avoid a circular import with the simulator module).
         self._wrap = wrap
-        self._split_strategy = [
-            isinstance(c.adversary.values, (SplitAttack, CrossfireAttack))
-            for c in self.controllers
+        self._movers = []
+        self._valuers = []
+        self._planted = []
+        for controller in self.controllers:
+            adversary = controller.adversary
+            key, hook = _movement_lane(adversary)
+            self._movers.append(((key, controller.f), hook))
+            lane = _value_lane(adversary, controller.semantics)
+            if lane is not None:
+                lane = (
+                    (lane[0], controller.f, adversary.shares_round_outboxes),
+                    lane[1],
+                )
+            self._valuers.append(lane)
+            self._planted.append(
+                controller.semantics.cured_send is CuredSendBehavior.PLANTED_QUEUE
+            )
+        self._layouts: dict[tuple, _Layout] = {}
+        self.mask = None
+        self.hosts_index: tuple = ([], [])
+        self.after_index: tuple = ([], [])
+
+    def _layout(self, indices) -> "_Layout":
+        """How the runs of ``indices`` split into lanes (cached).
+
+        The split depends only on which runs are active, so it is
+        computed once per active set -- unless some run has no agent
+        positions yet (a round 0 the engine did not plan), in which
+        case it is rebuilt until every run is placed.
+        """
+        key = tuple(indices)
+        layout = self._layouts.get(key)
+        if layout is not None:
+            return layout
+        layout = _Layout()
+        layout.runs = runs = [self.controllers[r] for r in indices]
+        layout.rngs = [self.rngs[r] for r in indices]
+        layout.movers = movers = [self._movers[r] for r in indices]
+        layout.valuers = valuers = [self._valuers[r] for r in indices]
+        layout.planted = [self._planted[r] for r in indices]
+        layout.m4 = m4 = [c.semantics.moves_with_message for c in runs]
+        # Runs without agents or without array value forms are planned
+        # whole by their own controller: the scalar reference path.
+        layout.scalar = [
+            i for i, c in enumerate(runs) if c.f == 0 or valuers[i] is None
         ]
+        layout.live = live = [
+            i for i, c in enumerate(runs) if c.f != 0 and valuers[i] is not None
+        ]
+        layout.placing = [i for i in live if runs[i]._positions is None]
+        moving: dict = {}
+        for i in live:
+            if not m4[i] and runs[i]._positions is not None:
+                moving.setdefault(movers[i][0], []).append(i)
+        layout.moving = [(rows, movers[rows[0]][1]) for rows in moving.values()]
+        layout.lanes = _value_lanes(live, layout)
+        if not layout.placing:
+            self._layouts[key] = layout
+        return layout
 
     def plan_many(self, round_index: int, stack, indices):
         """Plan ``round_index`` for the runs in ``indices``.
@@ -673,207 +964,250 @@ class CrossRunPlanner:
         np = _np
         wrap = self._wrap
         count, n = stack.shape
+        layout = self._layout(indices)
+        runs = layout.runs
+        rngs = layout.rngs
+        m4 = layout.m4
         plans: list = [None] * count
+        hosts: list = [_EMPTY] * count
+        cured: list = [_EMPTY] * count
 
-        # -- stage 1: per-run movement (pure Python + per-run RNG) ------
-        # info[i] is None (f == 0, trivially planned), an M1-M3 tuple
-        # ("m13", values, positions, cured) or an M4 tuple ("m4",
-        # values, hosts).  M4 consumes no randomness here: its
-        # next_positions draw happens *after* the attack outboxes, in
-        # per-cell order (see _plan_buhrman).
-        info: list = [None] * count
-        mask_rows: list[int] = []
-        mask_cols: list[int] = []
-        for i, r in enumerate(indices):
-            controller = self.controllers[r]
-            rng = self.rngs[r]
-            values = wrap(stack[i])
-            if controller.f == 0:
-                plans[i] = controller.plan_round(round_index, values, rng)
-                continue
-            if controller.semantics.moves_with_message:
-                hosts = controller._positions
-                if hosts is None:
-                    hosts = controller.adversary.initial_positions(
-                        controller.n, controller.f, rng
-                    )
-                info[i] = ("m4", values, hosts)
-                excluded = hosts
-            else:
-                if controller._positions is None:
-                    positions = controller.adversary.initial_positions(
-                        controller.n, controller.f, rng
-                    )
-                    cured: frozenset[int] = frozenset()
-                else:
-                    movement_view = controller._view(
-                        round_index, values, controller._positions, frozenset(), rng
-                    )
-                    positions = controller.adversary.next_positions(movement_view)
-                    controller._check_positions(positions)
-                    cured = controller._positions - positions
-                info[i] = ("m13", values, positions, cured)
-                excluded = positions | cured
-            for pid in excluded:
-                mask_rows.append(i)
-                mask_cols.append(pid)
+        # -- stage 1: scalar runs whole; movement (M1-M3) per lane ------
+        for i in layout.scalar:
+            plan = runs[i].plan_round(round_index, wrap(stack[i]), rngs[i])
+            plans[i] = plan
+            hosts[i] = plan.faulty_at_send
+            cured[i] = plan.cured_at_send
+        for i in layout.live:
+            if m4[i]:
+                hosts[i] = runs[i]._positions
+        for i in layout.placing:
+            controller = runs[i]
+            hosts[i] = controller.adversary.initial_positions(
+                controller.n, controller.f, rngs[i]
+            )
+        for rows, hook in layout.moving:
+            current = [runs[i]._positions for i in rows]
+            moved = self._move(round_index, stack, layout, rows, hook, current)
+            for i, old, new in zip(rows, current, moved):
+                hosts[i] = new
+                cured[i] = old - new
 
-        # -- stage 2: batched exclusion masks + correct ranges ----------
+        # -- stage 2: exclusion masks + correct ranges, whole stack -----
+        everyone = range(count)
+        host_rows, host_cols = _flat_index(everyone, hosts)
+        cured_rows, cured_cols = _flat_index(everyone, cured)
         mask = np.ones((count, n), dtype=bool)
-        if mask_rows:
-            mask[mask_rows, mask_cols] = False
-        # ``batch_correct_ranges`` leaves signed-zero endpoints and
-        # fully-masked rows unseeded (None) for the view's own scalar
-        # rescan; trivial rows (f == 0, already planned) are cleared
-        # here because no view will ever consume their interval.
-        intervals = batch_correct_ranges(stack, mask)
-        for i in range(count):
-            if info[i] is None:
-                intervals[i] = None
+        mask[host_rows + cured_rows, host_cols + cured_cols] = False
+        lows, highs, exact = batch_correct_ranges(stack, mask)
+        # Signed-zero endpoints resolve as the view's first-wins scan
+        # does.  A row with no correct process ranges over all of its
+        # values -- pre- and post-corruption ones, so its attack range
+        # is taken again after the patch.
+        unmasked = set()
+        if not all(exact):
+            for i in layout.live:
+                if not exact[i]:
+                    lows[i], highs[i] = _exact_range(stack[i], mask[i])
+                    if not mask[i].any():
+                        unmasked.add(i)
 
-        # -- stage 3: per-run departures, batched corruption patch ------
-        corruptions: list[dict[int, float]] = [{}] * count
-        corr_rows: list[int] = []
-        corr_cols: list[int] = []
-        corr_vals: list[float] = []
-        for i, r in enumerate(indices):
-            item = info[i]
-            if item is None or item[0] != "m13":
-                continue
-            _, values, positions, cured = item
-            controller = self.controllers[r]
-            departure_view = controller._view(
-                round_index, values, positions, cured, self.rngs[r]
+        patched = stack.copy() if cured_rows else stack
+        for i in layout.scalar:
+            corrupted = plans[i].memory_corruptions
+            if corrupted:
+                patched[i, list(corrupted)] = list(corrupted.values())
+        after = list(hosts) if any(m4) else hosts
+        for i in layout.scalar:
+            after[i] = plans[i].positions_after
+
+        # -- stage 3: per lane -- departures, patch, attacks, computes --
+        # Each lane runs the per-cell order on its own rows: departures
+        # on the pre-corruption values, then the rows' corruption patch,
+        # then attack camps and planted queues on the patched values,
+        # then (M4) the ride to the next hosts, then compute corruptions.
+        outbox = CampOutbox.of
+        proxy = MappingProxyType
+        for rows, hooks, shared, planted, m4_moving in layout.lanes:
+            view = StackView(
+                round_index,
+                n,
+                runs[rows[0]].f,
+                [hosts[i] for i in rows],
+                stack if len(rows) == count else stack[rows],
+                [rngs[i] for i in rows],
+                low=[lows[i] for i in rows],
+                high=[highs[i] for i in rows],
             )
-            object.__setattr__(departure_view, "_range_mask", mask[i])
-            if intervals[i] is not None:
-                object.__setattr__(departure_view, "_correct_range", intervals[i])
-            corrupted = controller._departure_values(departure_view, cured)
-            corruptions[i] = corrupted
-            for pid, value in corrupted.items():
-                corr_rows.append(i)
-                corr_cols.append(pid)
-                corr_vals.append(value)
-        if corr_rows:
-            patched = stack.copy()
-            patched[corr_rows, corr_cols] = corr_vals
-        else:
-            patched = stack
-
-        # -- stage 4: batched split-camp codes --------------------------
-        # Corruptions only land on cured (masked-out) pids, so the
-        # attack view's range equals the departure view's bit-for-bit;
-        # the midpoint is therefore known for every clean row and the
-        # bisection comparison of _split_assignment can run as one
-        # whole-matrix pass.  Rows without a pre-seeded interval let
-        # the strategy recompute lazily (per-cell behaviour).
-        codes_rows = [
-            i
-            for i, r in enumerate(indices)
-            if info[i] is not None
-            and intervals[i] is not None
-            and self._split_strategy[r]
-        ]
-        codes_by_row: dict[int, object] = {}
-        if codes_rows:
-            mids = np.array(
-                [intervals[i].midpoint() for i in codes_rows], dtype=np.float64
-            )
-            codes = (patched[codes_rows] > mids[:, None]).astype("i8")
-            for slot, i in enumerate(codes_rows):
-                codes_by_row[i] = codes[slot]
-
-        # -- stage 5: per-run attack outboxes + plan assembly -----------
-        for i, r in enumerate(indices):
-            item = info[i]
-            if item is None:
-                continue
-            controller = self.controllers[r]
-            rng = self.rngs[r]
-            adversary = controller.adversary
-            if item[0] == "m13":
-                _, values, positions, cured = item
-                corrupted = corruptions[i]
-                attack_values = wrap(patched[i]) if corrupted else values
-                attack_view = controller._view(
-                    round_index, attack_values, positions, cured, rng
+            pids = [cured[i] for i in rows]
+            values = hooks[1](view, pids)
+            _check_scalars(values, pids, "departure value")
+            corruptions = [dict(zip(*pair)) for pair in zip(pids, values)]
+            corr_rows: list[int] = []
+            for i, row_pids in zip(rows, pids):
+                corr_rows += [i] * len(row_pids)
+            if corr_rows:
+                patched[corr_rows, list(chain.from_iterable(pids))] = list(
+                    chain.from_iterable(values)
                 )
+            view.values = patched if len(rows) == count else patched[rows]
+            for row, i in enumerate(rows):
+                if i in unmasked:
+                    view.low[row], view.high[row] = _exact_range(patched[i], mask[i])
+
+            # Sender-agnostic lanes ask for one outbox per role (the
+            # first host's and the first cured's): the scalar path
+            # shares them across senders.
+            if shared:
+                if planted:
+                    senders = [
+                        list(hosts[i])[:1] + list(cured[i])[:1] for i in rows
+                    ]
+                else:
+                    senders = [list(hosts[i])[:1] for i in rows]
+                attack_counts = [min(len(hosts[i]), 1) for i in rows]
             else:
-                _, values, hosts = item
-                positions = hosts
-                cured = frozenset()
-                corrupted = None
-                attack_view = controller._view(
-                    round_index, values, hosts, frozenset(), rng
-                )
-            object.__setattr__(attack_view, "_range_mask", mask[i])
-            if intervals[i] is not None:
-                object.__setattr__(attack_view, "_correct_range", intervals[i])
-            codes_row = codes_by_row.get(i)
-            if codes_row is not None:
-                assignment = CampAssignment(codes_row.tolist())
-                assignment.array = codes_row
-                object.__setattr__(attack_view, "_memo", {"camps-split": assignment})
-
-            shared = adversary.shares_round_outboxes
-            send_overrides: dict[int, Mapping[int, float]] = {}
-            if item[0] == "m13" and shared and positions:
-                shared_attack = _attack_override(
-                    adversary, attack_view, next(iter(positions)), controller.n
-                )
-                send_overrides = dict.fromkeys(positions, shared_attack)
-            else:
-                shared_attack = None
-                for pid in positions:
-                    if shared_attack is None:
-                        shared_attack = _attack_override(
-                            adversary, attack_view, pid, controller.n
+                senders = [
+                    [*hosts[i], *cured[i]] if planted else list(hosts[i])
+                    for i in rows
+                ]
+                attack_counts = [len(hosts[i]) for i in rows]
+            codes, camp_values = hooks[0](view, senders)
+            assignments = _checked_camps(codes, camp_values, senders, attack_counts, n)
+            overrides = []
+            if shared:
+                for i, assignment, camps in zip(rows, assignments, camp_values):
+                    send = dict.fromkeys(hosts[i], outbox(camps[0], assignment))
+                    if planted and cured[i]:
+                        send.update(
+                            dict.fromkeys(cured[i], outbox(camps[-1], assignment))
                         )
-                    send_overrides[pid] = shared_attack
-                    if not shared:
-                        shared_attack = None
-            if item[0] == "m13":
-                if controller.semantics.cured_send is CuredSendBehavior.PLANTED_QUEUE:
-                    shared_planted: Mapping[int, float] | None = None
-                    for pid in cured:
-                        if shared_planted is None:
-                            shared_planted = _planted_override(
-                                adversary, attack_view, pid, controller.n
-                            )
-                        send_overrides[pid] = shared_planted
-                        if not shared:
-                            shared_planted = None
-                compute_corruptions = controller._corrupted_computes(
-                    attack_view, positions
-                )
-                plans[i] = RoundPlan(
-                    round_index=round_index,
-                    faulty_at_send=positions,
-                    cured_at_send=cured,
-                    positions_after=positions,
-                    memory_corruptions=MappingProxyType(corrupted),
-                    send_overrides=MappingProxyType(send_overrides),
-                    compute_corruptions=MappingProxyType(compute_corruptions),
-                )
-                controller._positions = positions
+                    overrides.append(send)
             else:
-                # M4: the agents ride the messages -- draw the next
-                # hosts only now, matching _plan_buhrman's RNG order.
-                movement_view = controller._view(
-                    round_index, values, hosts, frozenset(), rng
+                for assignment, camps, row_senders in zip(
+                    assignments, camp_values, senders
+                ):
+                    overrides.append(
+                        {
+                            pid: outbox(camp, assignment)
+                            for pid, camp in zip(row_senders, camps)
+                        }
+                    )
+
+            for moving_rows, hook in m4_moving:
+                current = [hosts[i] for i in moving_rows]
+                moved = self._move(
+                    round_index, stack, layout, moving_rows, hook, current
                 )
-                next_hosts = adversary.next_positions(movement_view)
-                controller._check_positions(next_hosts)
-                compute_corruptions = controller._corrupted_computes(
-                    attack_view, next_hosts
-                )
-                plans[i] = RoundPlan(
-                    round_index=round_index,
-                    faulty_at_send=hosts,
-                    cured_at_send=frozenset(),
-                    positions_after=next_hosts,
-                    send_overrides=_frozen_mapping(send_overrides),
-                    compute_corruptions=_frozen_mapping(compute_corruptions),
-                )
-                controller._positions = next_hosts
+                for i, new in zip(moving_rows, moved):
+                    after[i] = new
+            pids = [after[i] for i in rows]
+            values = hooks[2](view, pids)
+            _check_scalars(values, pids, "corrupted compute")
+            for i, row_pids, row_values, corrupted, send in zip(
+                rows, pids, values, corruptions, overrides
+            ):
+                computes = proxy(dict(zip(row_pids, row_values)))
+                if m4[i]:
+                    plans[i] = _round_plan(
+                        round_index, hosts[i], _EMPTY, row_pids, {},
+                        proxy(send), computes,
+                    )
+                else:
+                    plans[i] = _round_plan(
+                        round_index, row_pids, cured[i], row_pids,
+                        proxy(corrupted), proxy(send), computes,
+                    )
+                runs[i]._positions = row_pids
+
+        self.mask = mask
+        self.hosts_index = (host_rows, host_cols)
+        self.after_index = (
+            _flat_index(everyone, after) if after is not hosts else self.hosts_index
+        )
         return plans, patched
+
+    def _move(self, round_index, stack, layout, rows, hook, current):
+        """One lane's next positions, checked like `_check_positions`."""
+        runs = layout.runs
+        rngs = layout.rngs
+        wrap = self._wrap
+        first = runs[rows[0]]
+        view = StackView(
+            round_index,
+            first.n,
+            first.f,
+            current,
+            stack if len(rows) == len(stack) else stack[rows],
+            [rngs[i] for i in rows],
+            lambda row: runs[rows[row]]._view(
+                round_index,
+                wrap(stack[rows[row]]),
+                current[row],
+                _EMPTY,
+                rngs[rows[row]],
+            ),
+        )
+        moved = hook(view)
+        if not _positions_valid(moved, first.f, first.n):
+            for i, positions in zip(rows, moved):
+                runs[i]._check_positions(positions)
+        return moved
+
+
+def _check_scalars(values, pids, what: str) -> None:
+    """Every value of a lane finite, else the scalar path's exact error."""
+    if math.isfinite(sum(chain.from_iterable(values))):
+        return
+    for row_pids, row_values in zip(pids, values):
+        for pid, value in zip(row_pids, row_values):
+            _checked_value(value, f"{what} for p{pid}")
+
+
+def _checked_camps(codes, camp_values, senders, attack_counts, n: int):
+    """Validate one lane's camps; returns each row's shared assignment.
+
+    The happy path is a few C-level passes over the whole lane; a
+    failure replays the per-sender checks of `_camp_outbox` in the
+    scalar order (``senders[r][:attack_counts[r]]`` attack, the rest
+    planted queues), so the error names the same sender and reason.
+    """
+    rows = len(senders)
+    counts = list(map(len, chain.from_iterable(camp_values)))
+    shared = isinstance(codes, CampAssignment)
+    if shared:
+        array = codes.array
+        ok = len(codes) == n
+    else:
+        array = codes
+        ok = codes.shape == (rows, n)
+    if ok and counts and array.size:
+        ok = int(array.min()) >= 0 and int(array.max()) < min(counts)
+    # A finite sum proves every term finite; an overflowing sum of
+    # finite values only sends the lane through the exact replay.
+    ok = ok and len(camp_values) == rows and math.isfinite(
+        sum(chain.from_iterable(chain.from_iterable(camp_values)))
+    )
+    if shared:
+        assignments = [codes] * rows
+    else:
+        assignments = []
+        for row_codes, row_list in zip(codes, codes.tolist()):
+            assignment = CampAssignment(row_list)
+            assignment.array = row_codes
+            assignments.append(assignment)
+    if not ok:
+        for assignment, values, row_senders, attacks in zip(
+            assignments, camp_values, senders, attack_counts
+        ):
+            for slot, (pid, camp) in enumerate(zip(row_senders, values)):
+                role = "attack" if slot < attacks else "planted"
+                RecipientCamps(values=camp, assignment=assignment).validate(
+                    n, f"{role} camps p{pid}"
+                )
+        if len(assignments) != rows or len(camp_values) != rows:
+            raise ValueError(
+                f"recipient camps: array hook returned {len(camp_values)} "
+                f"rows of camp values for a lane of {rows} runs"
+            )
+    return assignments

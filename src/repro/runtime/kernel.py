@@ -36,9 +36,9 @@ errors are raised verbatim.  The equivalence suite runs every scenario
 family with each layer toggled off to prove it.
 
 A :class:`RoundKernel` owns only reusable scratch state, so one
-instance can serve many simulations: ``simulate_batch``,
-``simulate_many`` and the sweep engine's cross-run groups run whole
-batches of cells on shared buffers.
+instance can serve many simulations: ``simulate_many`` and the sweep
+engine's cross-run groups run whole batches of cells on shared
+buffers.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from itertools import filterfalse
 from types import MappingProxyType
 from typing import Literal
 
+from ..faults.models import CuredSendBehavior
 from ..msr.base import MSRApplication
 from ..msr.multiset import ValueMultiset
 from .config import MobileFaultSetup, SimulationConfig, StaticMixedSetup
@@ -80,7 +81,6 @@ __all__ = [
     "ShmBatchLayout",
     "SynchronousSimulator",
     "run_simulation",
-    "simulate_batch",
     "simulate_many",
     "TraceDetail",
 ]
@@ -336,29 +336,6 @@ def run_simulation(
     ).run()
 
 
-def simulate_batch(
-    configs: Iterable[SimulationConfig],
-    trace_detail: TraceDetail = "lite",
-    kernel: RoundKernel | None = None,
-) -> list[Trace | LiteTrace]:
-    """Run many configs through one shared round kernel.
-
-    The in-worker batching primitive of the sweep engine: one dispatch
-    runs every config back to back, so per-simulation buffers are
-    allocated once per batch instead of once per cell.  Results are
-    identical to running each config through :func:`run_simulation`
-    individually -- the kernel holds scratch state only, never
-    simulation state.
-    """
-    shared = kernel if kernel is not None else RoundKernel()
-    return [
-        SynchronousSimulator(
-            config, trace_detail=trace_detail, kernel=shared
-        ).run()
-        for config in configs
-    ]
-
-
 def simulate_many(
     configs: Iterable[SimulationConfig],
     trace_detail: TraceDetail = "lite",
@@ -369,24 +346,29 @@ def simulate_many(
     """Run many configs with cross-run vectorization where possible.
 
     The cross-run engine stacks compatible lite runs -- same ``n``,
-    MSR function (algorithm/f/family) and mobile model, each passing
-    the per-cell vectorized preconditions (numpy, complete topology,
-    broadcast sends, batchable MSR stages) -- into one ``(R, n)``
-    float64 state matrix and advances all of them in lockstep: one
-    whole-matrix pass per round for exclusion masks, correct ranges,
-    corruption patches, the broadcast sort and the width-grouped MSR
-    fold (see :meth:`RoundKernel.fold_rows_many`).  Runs that terminate
-    early drop out of the active set, so converged rows stop costing
-    work.
+    MSR function (algorithm/f/family) and mobile model on a complete
+    topology -- into one ``(R, n)`` float64 state matrix and advances
+    all of them in lockstep.  Every round is planned for the whole
+    stack by :meth:`CrossRunPlanner.plan_many` (movement, exclusion
+    masks, correct ranges, departures, attack camps and corruption
+    patches in a few whole-stack passes).  The fold depends on the
+    family: MSR voting runs (which must also pass the per-cell
+    vectorized preconditions: numpy, broadcast sends, batchable MSR
+    stages) share one broadcast sort and the width-grouped MSR fold
+    (:meth:`RoundKernel.fold_rows_many`); stateful families (tseng,
+    witness) fold each run through its own
+    ``protocol.run_round``.  Runs that terminate early drop out of the
+    active set, so converged rows stop costing work.
 
-    Results are **bit-identical** to :func:`simulate_batch` over the
-    same configs: per-run decisions (movement, outboxes, RNG streams)
-    still run through each run's own controller in per-cell order, and
-    batched quantities are injected only where provably equal to the
-    per-run derivation (the equivalence suite pins this).  Configs that
-    don't qualify -- full traces, stateful families, partial graphs,
-    static-mixed setups -- silently fall back to their normal
-    :meth:`SynchronousSimulator.run` path, in input order.
+    Results are **bit-identical** to running each config through
+    :func:`run_simulation`: the planner draws each run's randomness
+    from the run's own rng in per-cell order and materializes the same
+    :class:`RoundPlan` objects, and batched quantities are used only
+    where provably equal to the per-run derivation (the equivalence
+    suites pin this).  Configs that don't qualify -- full traces,
+    partial topologies, static-mixed setups -- and groups of one run
+    take their normal :meth:`SynchronousSimulator.run` path, in input
+    order.
 
     ``out`` -- a :class:`RunBatchOut`, typically views over a
     shared-memory block -- receives every finished run's condensed
@@ -434,26 +416,57 @@ def simulate_many(
 def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
     """The cross-run lite loop: R compatible runs on one (R, n) stack.
 
-    Bit-identity with `_run_lite_vectorized` per run rests on the same
-    three seams as the per-cell engine -- stable sorts over
-    +inf-padded rows equal sorts of the masked subarrays, masked
-    min/max reductions *select* elements (no arithmetic), and every
-    signed-zero/degenerate endpoint falls back to the per-cell scalar
-    rescan -- plus the :class:`CrossRunPlanner`'s per-run RNG ordering
-    contract.  Round 0 always runs per cell: it needs the per-inbox
-    received diameter and seeds each run's agent positions.
+    One skeleton serves both protocol shapes.  Each round plans every
+    active run in one :meth:`CrossRunPlanner.plan_many` call, folds,
+    then reduces extents and decides termination for the whole stack;
+    only the fold differs:
+
+    * scalar MSR voting (bonomi): one masked stable sort over the
+      stack and the width-grouped fold of
+      :meth:`RoundKernel.fold_rows_many`;
+    * stateful families (tseng, and witness on a complete graph): each
+      run's own ``protocol.run_round(plan, cured_aware, False)``, whose
+      values are read back into the stack.
+
+    Bit-identity with the per-cell paths (`_run_lite_vectorized`,
+    `_run_stateful`) rests on the same seams as the per-cell engine --
+    stable sorts over +inf-padded rows equal sorts of the masked
+    subarrays, masked min/max reductions *select* elements (no
+    arithmetic), and every signed-zero/degenerate endpoint falls back
+    to the per-cell scalar rescan -- plus the planner's per-run rng
+    ordering contract; an array snapshot and a ``dict`` snapshot of
+    the same values plan identically.  Round 0 always runs per cell:
+    it needs the per-inbox received diameter and seeds each run's
+    agent positions.  Termination consults the family's schedule and,
+    for stateful protocols, the protocol's own.
     """
     np = _np
     first = sims[0]
     n = first.config.n
     kernel = first.kernel
     batch = first._cross_run_batch
+    stateful = batch is None
     run_count = len(sims)
-    for sim in sims:
-        sim._lite_evaluate = sim.kernel.prepare(sim.protocol)
-    stack = np.array(
-        [[sim._values[pid] for pid in range(n)] for sim in sims],
-        dtype=np.float64,
+    if stateful:
+        for sim in sims:
+            sim.protocol.recording = False
+            sim.protocol.reset(sim.kernel)
+            sim.protocol.start(sim.config.initial_values)
+        stack = np.array(
+            [_pid_ordered(sim.protocol.values, n) for sim in sims], dtype=np.float64
+        )
+    else:
+        for sim in sims:
+            sim._lite_evaluate = sim.kernel.prepare(sim.protocol)
+        stack = np.array(
+            [[sim._values[pid] for pid in range(n)] for sim in sims],
+            dtype=np.float64,
+        )
+    # Cured senders are silent when they know it (M1) or when their
+    # planted queue replaces the broadcast (M3); the group shares one
+    # model, so one flag covers every row.
+    cured_silent = first._cured_aware or (
+        first.controller.semantics.cured_send is CuredSendBehavior.PLANTED_QUEUE
     )
     all_pids = frozenset(range(n))
     extents: list[list] = [[] for _ in range(run_count)]
@@ -466,6 +479,17 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
         [sim._adversary_rng for sim in sims],
         wrap=ArrayValues,
     )
+
+    def stops(sim, round_index: int, extent) -> bool:
+        sim._round_index = round_index + 1
+        diameter = 0.0 if extent is None else extent[1] - extent[0]
+        return (
+            sim.family.decision_ready(round_index)
+            and (not stateful or sim.protocol.decision_ready(round_index))
+            and sim.config.termination.should_stop(
+                round_index, diameter, sim._first_round_received_diameter
+            )
+        )
 
     active = list(range(run_count))
     round_index = 0
@@ -480,24 +504,25 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
         if round_index == 0:
             for r in active:
                 sim = sims[r]
-                plan, _, arr_after = sim._advance_round_vectorized(
-                    sim._cross_run_batch, stack[r], True
-                )
+                if stateful:
+                    values = sim.protocol.values
+                    plan = sim.controller.plan_round(
+                        0, dict(values), sim._adversary_rng
+                    )
+                    sim._first_round_received_diameter = sim.protocol.run_round(
+                        plan, sim._cured_aware, True
+                    )
+                    arr_after = np.array(_pid_ordered(values, n), dtype=np.float64)
+                else:
+                    plan, _, arr_after = sim._advance_round_vectorized(
+                        batch, stack[r], True
+                    )
                 stack[r] = arr_after
                 initially_nonfaulty[r] = all_pids - plan.faulty_at_send
                 positions_after[r] = plan.positions_after
                 extent = sim._array_extent(arr_after, plan.positions_after)
                 extents[r].append(extent)
-                diameter = 0.0 if extent is None else extent[1] - extent[0]
-                sim._round_index = 1
-                if sim.family.decision_ready(
-                    round_index
-                ) and sim.config.termination.should_stop(
-                    round_index,
-                    diameter,
-                    sim._first_round_received_diameter,
-                ):
-                    terminated[r] = True
+                terminated[r] = stops(sim, round_index, extent)
             round_index += 1
             continue
 
@@ -505,98 +530,28 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
         sub = stack[active]
         plans, patched = planner.plan_many(round_index, sub, active)
 
-        # -- send phase: one masked stable sort over the whole stack --
-        silent_rows: list[int] = []
-        silent_cols: list[int] = []
-        counts = [0] * count
-        for i, r in enumerate(active):
-            plan = plans[i]
-            silent = set(plan.send_overrides)
-            silent.update(plan.forced_silent)
-            if sims[r]._cured_aware and plan.cured_at_send:
-                silent.update(plan.cured_at_send)
-            counts[i] = n - len(silent)
-            for pid in silent:
-                silent_rows.append(i)
-                silent_cols.append(pid)
-        send_mask = np.ones((count, n), dtype=bool)
-        if silent_rows:
-            send_mask[silent_rows, silent_cols] = False
-        sorted_bcast = np.sort(
-            np.where(send_mask, patched, np.inf), axis=1, kind="stable"
-        )
-
-        # -- receive+compute: width-grouped fold across the runs ------
-        entries: list = [None] * count
-        for i in range(count):
-            overrides = plans[i].send_overrides
-            prepared = kernel.batch_rows(
-                np,
-                sorted_bcast[i, : counts[i]],
-                list(overrides.values()) if overrides else None,
+        if stateful:
+            # -- per-run fold: each protocol runs its own round -------
+            for i, r in enumerate(active):
+                sims[r].protocol.run_round(plans[i], sims[r]._cured_aware, False)
+            new_stack = np.array(
+                [_pid_ordered(sims[r].protocol.values, n) for r in active],
+                dtype=np.float64,
             )
-            if prepared is not None:
-                rows, codes = prepared
-                entries[i] = (rows, codes, n)
-        folded = kernel.fold_rows_many(batch, np, entries)
-
-        new_stack = np.empty_like(sub)
-        garbage_rows: list[int] = []
-        garbage_cols: list[int] = []
-        garbage_vals: list[float] = []
-        for i, r in enumerate(active):
-            plan = plans[i]
-            new_arr = folded[i]
-            if new_arr is None:
-                # This run's round isn't batchable (non-camp overrides,
-                # below-bound fold): the exact per-cell scalar fallback
-                # of `_advance_round_vectorized`, canonical errors
-                # included.
-                sim = sims[r]
-                work = dict(enumerate(patched[i].tolist()))
-                sim._values = work
-                broadcasts = sim._broadcast_values_lite(plan)
-                broadcasts.sort()
-                overrides = plan.send_overrides
-                kernel.compute_phase(
-                    sim.protocol,
-                    sim._lite_evaluate,
-                    n,
-                    broadcasts,
-                    list(overrides.values()) if overrides else None,
-                    plan.compute_corruptions,
-                    work,
-                    False,
-                )
-                for pid, garbage in plan.compute_corruptions.items():
-                    work[pid] = garbage
-                new_stack[i] = np.array(
-                    list(work.values()), dtype=np.float64
-                )
-            else:
-                new_stack[i] = new_arr
-                for pid, garbage in plan.compute_corruptions.items():
-                    garbage_rows.append(i)
-                    garbage_cols.append(pid)
-                    garbage_vals.append(garbage)
-        if garbage_rows:
-            new_stack[garbage_rows, garbage_cols] = garbage_vals
+        else:
+            new_stack = _fold_stack(
+                sims, active, plans, patched, planner, cured_silent, kernel, batch
+            )
         stack[active] = new_stack
 
         # -- extents + termination: batched reduction, per-run rescue --
-        excl_rows: list[int] = []
-        excl_cols: list[int] = []
-        for i, r in enumerate(active):
-            positions_after[r] = plans[i].positions_after
-            for pid in plans[i].positions_after:
-                excl_rows.append(i)
-                excl_cols.append(pid)
         ext_mask = np.ones((count, n), dtype=bool)
-        if excl_rows:
-            ext_mask[excl_rows, excl_cols] = False
+        ext_mask[planner.after_index] = False
         lows = np.where(ext_mask, new_stack, np.inf).min(axis=1).tolist()
         highs = np.where(ext_mask, new_stack, -np.inf).max(axis=1).tolist()
         for i, r in enumerate(active):
+            after = plans[i].positions_after
+            positions_after[r] = after
             low = lows[i]
             high = highs[i]
             if (
@@ -607,29 +562,18 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
             ):
                 # Signed-zero endpoints / fully-excluded rows: the
                 # per-cell first-wins scan decides.
-                extent = sims[r]._array_extent(
-                    new_stack[i], plans[i].positions_after
-                )
+                extent = sims[r]._array_extent(new_stack[i], after)
             else:
                 extent = (low, high)
             extents[r].append(extent)
-            diameter = 0.0 if extent is None else extent[1] - extent[0]
-            sim = sims[r]
-            sim._round_index = round_index + 1
-            if sim.family.decision_ready(
-                round_index
-            ) and sim.config.termination.should_stop(
-                round_index,
-                diameter,
-                sim._first_round_received_diameter,
-            ):
-                terminated[r] = True
+            terminated[r] = stops(sims[r], round_index, extent)
         round_index += 1
 
     traces = []
     for r, sim in enumerate(sims):
         final = stack[r].tolist()
-        sim._values = dict(enumerate(final))
+        if not stateful:
+            sim._values = dict(enumerate(final))
         decisions = {
             pid: final[pid] for pid in sorted(all_pids - positions_after[r])
         }
@@ -657,6 +601,85 @@ def _run_lite_many(sims: list[SynchronousSimulator]) -> list[LiteTrace]:
             )
         )
     return traces
+
+
+def _pid_ordered(values: Mapping[int, float], n: int) -> list[float]:
+    """A stateful protocol's values as a pid-ordered row."""
+    return list(map(values.__getitem__, range(n)))
+
+
+def _fold_stack(sims, active, plans, patched, planner, cured_silent, kernel, batch):
+    """One MSR voting round for the active stack: send, receive, compute.
+
+    The send phase is one masked stable sort over the whole stack (the
+    silence mask comes straight from the planner's index lists); the
+    receive+compute phase folds all runs' distinct inboxes width by
+    width.  A run whose round the batch engine cannot express takes
+    the exact per-cell scalar fallback of `_advance_round_vectorized`,
+    canonical errors included.
+    """
+    np = _np
+    count, n = patched.shape
+    if cured_silent:
+        # Hosts and cured senders alike: the planner's exclusion mask.
+        send_mask = planner.mask
+    else:
+        send_mask = np.ones((count, n), dtype=bool)
+        send_mask[planner.hosts_index] = False
+    counts = send_mask.sum(axis=1).tolist()
+    sorted_bcast = np.sort(
+        np.where(send_mask, patched, np.inf), axis=1, kind="stable"
+    )
+
+    entries: list = [None] * count
+    for i in range(count):
+        overrides = plans[i].send_overrides
+        prepared = kernel.batch_rows(
+            np,
+            sorted_bcast[i, : counts[i]],
+            list(overrides.values()) if overrides else None,
+        )
+        if prepared is not None:
+            rows, codes = prepared
+            entries[i] = (rows, codes, n)
+    folded = kernel.fold_rows_many(batch, np, entries)
+
+    new_stack = np.empty_like(patched)
+    garbage_rows: list[int] = []
+    garbage_cols: list[int] = []
+    garbage_vals: list[float] = []
+    for i, r in enumerate(active):
+        plan = plans[i]
+        new_arr = folded[i]
+        if new_arr is None:
+            sim = sims[r]
+            work = dict(enumerate(patched[i].tolist()))
+            sim._values = work
+            broadcasts = sim._broadcast_values_lite(plan)
+            broadcasts.sort()
+            overrides = plan.send_overrides
+            kernel.compute_phase(
+                sim.protocol,
+                sim._lite_evaluate,
+                n,
+                broadcasts,
+                list(overrides.values()) if overrides else None,
+                plan.compute_corruptions,
+                work,
+                False,
+            )
+            for pid, garbage in plan.compute_corruptions.items():
+                work[pid] = garbage
+            new_stack[i] = np.array(list(work.values()), dtype=np.float64)
+        else:
+            new_stack[i] = new_arr
+            garbage = plan.compute_corruptions
+            garbage_rows += [i] * len(garbage)
+            garbage_cols += garbage
+            garbage_vals += garbage.values()
+    if garbage_rows:
+        new_stack[garbage_rows, garbage_cols] = garbage_vals
+    return new_stack
 
 
 class SynchronousSimulator:
@@ -948,24 +971,32 @@ class SynchronousSimulator:
     def _cross_run_key(self):
         """Cross-run stacking class of this simulator, or ``None``.
 
-        Two simulators sharing a key fold *interchangeable* multisets:
-        same row width (``n``) and same MSR reduction (algorithm name
-        plus the ``f``/family that parameterize its trim), under the
-        same mobile model -- so their rounds can share one width-grouped
-        fold (:meth:`RoundKernel.fold_rows_many`) and one batch
-        evaluator.  Movement, attack, seeds and termination may differ
-        freely: those stay per-run.  ``None`` means the run must stay
-        on its per-cell path (non-lite detail, stateful family, static
-        setup, or a failed vectorized precondition).
+        Two simulators sharing a key fold *interchangeable* rounds:
+        same row width (``n``), same MSR reduction (algorithm name plus
+        the ``f``/family that parameterize its trim) and same family,
+        under the same mobile model -- so their rounds can share one
+        planning pass and, for MSR voting, one width-grouped fold
+        (:meth:`RoundKernel.fold_rows_many`) and batch evaluator.
+        Stateful families stack too, on a complete topology: planning
+        is batched and each run folds through its own protocol.
+        Movement, attack, seeds and termination may differ freely:
+        those stay per-run.  ``None`` means the run must stay on its
+        per-cell path (full trace, static setup, partial topology, or
+        a failed vectorized precondition).
         """
-        if self.trace_detail != "lite":
+        if self.trace_detail != "lite" or _np is None:
             return None
         if not isinstance(self.controller, MobileFaultController):
             return None
-        batch = self._vectorized_setup()
-        if batch is None:
-            return None
-        self._cross_run_batch = batch
+        if isinstance(self.protocol, StatefulRoundProtocol):
+            if not self.topology.is_complete:
+                return None
+            self._cross_run_batch = None
+        else:
+            batch = self._vectorized_setup()
+            if batch is None:
+                return None
+            self._cross_run_batch = batch
         config = self.config
         return (
             config.n,

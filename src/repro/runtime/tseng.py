@@ -97,6 +97,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from ..faults.value_strategies import CampOutbox
 from ..msr.base import MSRFunction
 from ..msr.multiset import ValueMultiset
 from .families import ProtocolFamily, register_family
@@ -360,6 +361,17 @@ class TsengProtocol(StatefulRoundProtocol):
         # override.
         camps = shared_camps(override_list)
         camp_assignment, camp_values = camps if camps is not None else (None, [])
+        # Each varying sender's acceptance bit for every recipient, in
+        # one pass per sender: a camp outbox compares the claim once
+        # per camp and reads the bit through its assignment.
+        acceptance = []
+        for value, claimed, outbox in varying:
+            if type(outbox) is CampOutbox:
+                by_camp = [claimed == entry for entry in outbox.camp_values]
+                bits = [by_camp[camp] for camp in outbox.assignment]
+            else:
+                bits = [claimed == outbox.get(pid) for pid in range(self.n)]
+            acceptance.append((value, bits))
 
         for pid in range(self.n):
             if pid in compute_corruptions:
@@ -367,8 +379,8 @@ class TsengProtocol(StatefulRoundProtocol):
             rejected = base_rejected
             key_parts: list[object] = []
             extras: list[float] = []
-            for value, claimed, outbox in varying:
-                accepted = claimed == outbox.get(pid)
+            for value, bits in acceptance:
+                accepted = bits[pid]
                 key_parts.append(accepted)
                 if accepted:
                     extras.append(value)

@@ -26,6 +26,7 @@ import pytest
 
 from tests.helpers import reference_sweep, small_grid
 
+from repro.runtime.controllers import MobileFaultController
 from repro.runtime.simulator import run_simulation, simulate_many
 from repro.sweep import (
     CellSpec,
@@ -36,6 +37,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep.backends import estimate_cell_cost
+from repro.telemetry import configure, deactivate, load_trace_events
 
 
 def cell(seed=0, **overrides):
@@ -108,6 +110,86 @@ class TestSimulateManyEquivalence:
         for a, b in zip(many, solo):
             assert a.decisions == b.decisions
             assert tuple(a.diameters()) == tuple(b.diameters())
+
+
+class TestStatefulStacking:
+    """Which path a stateful lite group takes inside `simulate_many`.
+
+    A Tseng group on the complete graph plans every round after the
+    first through the cross-run planner: the per-cell
+    `MobileFaultController.plan_round` runs once per run (round 0),
+    and the ``sim.many`` span reports the stacked group.  Witness runs
+    on a ring topology stay on the per-run stateful driver.
+    """
+
+    @staticmethod
+    def run_traced(cells, tmp_path, monkeypatch):
+        planned: list[int] = []
+        plan_round = MobileFaultController.plan_round
+
+        def counting(controller, round_index, values, rng):
+            planned.append(round_index)
+            return plan_round(controller, round_index, values, rng)
+
+        monkeypatch.setattr(MobileFaultController, "plan_round", counting)
+        configure(tmp_path)
+        try:
+            results = run_cell_many(cells)
+        finally:
+            deactivate()
+        stacked = [
+            event["attrs"]["stacked_groups"]
+            for event in load_trace_events(tmp_path)
+            if event.get("name") == "sim.many"
+        ]
+        return results, planned, stacked
+
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
+    @pytest.mark.parametrize("attack", ["split", "outlier", "noise", "crossfire"])
+    def test_tseng_group_is_stacked(self, model, attack, tmp_path, monkeypatch):
+        cells = [
+            cell(model=model, n=None, attack=attack, family="tseng", seed=seed, rounds=8)
+            for seed in range(4)
+        ]
+        results, planned, stacked = self.run_traced(cells, tmp_path, monkeypatch)
+        assert planned == [0] * len(cells)
+        assert stacked == [1]
+        assert all(result.rounds == 8 for result in results)
+        reference = reference_sweep(cells)
+        assert tuple(sorted(results, key=lambda r: r.key)) == reference.cells
+        assert_cells_identical(
+            sorted(results, key=lambda r: r.key), reference.cells
+        )
+
+    @pytest.mark.parametrize("model", ["M1", "M4"])
+    def test_scalar_strategies_plan_through_plan_round(
+        self, model, tmp_path, monkeypatch
+    ):
+        # inertia has no array form: the stacked group still runs, and
+        # the planner hands those runs to their own controller.
+        cells = [
+            cell(model=model, n=None, attack="inertia", family="tseng", seed=seed, rounds=6)
+            for seed in range(3)
+        ]
+        results, planned, stacked = self.run_traced(cells, tmp_path, monkeypatch)
+        assert stacked == [1]
+        assert sorted(planned) == sorted(list(range(6)) * len(cells))
+        assert tuple(sorted(results, key=lambda r: r.key)) == reference_sweep(
+            cells
+        ).cells
+
+    def test_witness_on_ring_runs_per_run(self, tmp_path, monkeypatch):
+        cells = [
+            cell(model="M1", f=1, n=9, family="witness", topology="ring:2", seed=seed)
+            for seed in range(3)
+        ]
+        results, planned, stacked = self.run_traced(cells, tmp_path, monkeypatch)
+        assert stacked == [0]
+        assert len(planned) == sum(result.rounds for result in results)
+        assert len(planned) > len(cells)
+        assert tuple(sorted(results, key=lambda r: r.key)) == reference_sweep(
+            cells
+        ).cells
 
 
 class TestCrossRunSweep:

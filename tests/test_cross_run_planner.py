@@ -42,6 +42,7 @@ from repro.faults.value_strategies import (
     OscillatingAttack,
     OutlierAttack,
     RandomNoise,
+    RecipientCamps,
     SplitAttack,
 )
 from repro.runtime.controllers import CrossRunPlanner, MobileFaultController
@@ -50,6 +51,7 @@ from repro.runtime.simulator import ArrayValues
 MODELS = ("M1", "M2", "M3", "M4")
 MOVEMENTS = (
     "round-robin",
+    "round-robin-3",
     "random",
     "random-jump",
     "static",
@@ -87,6 +89,8 @@ class PidDeparture(SplitAttack):
 def make_movement(name: str, f: int):
     if name == "round-robin":
         return RoundRobinWalk()
+    if name == "round-robin-3":
+        return RoundRobinWalk(stride=3)
     if name == "random":
         return RandomJump()
     if name == "random-jump":
@@ -207,8 +211,11 @@ def scenarios(draw):
     )
 
 
-def run_identity(model, f, extra, movements, attacks, seeds, value_seed, partition_seed):
-    n = get_semantics(model).required_n(f) + extra
+def run_identity(
+    model, f, extra, movements, attacks, seeds, value_seed, partition_seed, n=None
+):
+    if n is None:
+        n = get_semantics(model).required_n(f) + extra
     runs = len(seeds)
     stacked = [
         make_controller(model, n, f, movements[r], attacks[r]) for r in range(runs)
@@ -263,7 +270,9 @@ def run_identity(model, f, extra, movements, attacks, seeds, value_seed, partiti
 @example(scenario=("M3", 4, 0, ("round-robin",) * 4, ("noise",) * 4, (1, 2, 3, 4), 7, 8))
 @example(scenario=("M4", 3, 1, ("random",) * 3, ("crossfire",) * 3, (5, 6, 7), 1, 2))
 @example(scenario=("M1", 2, 0, ("round-robin",) * 5, ("split",) * 5, (0, 1, 2, 3, 4), 3, 4))
-@example(scenario=("M2", 5, 0, ("random-jump",) * 3, ("pid-departure",) * 3, (9, 8, 7), 5, 6))
+@example(
+    scenario=("M2", 5, 0, ("random-jump",) * 3, ("pid-departure",) * 3, (9, 8, 7), 5, 6)
+)
 @example(
     scenario=(
         "M3", 2, 1,
@@ -284,3 +293,116 @@ def test_table2_shapes_at_f8(model, movement, attack):
     run_identity(
         model, 8, 0, (movement,) * 8, (attack,) * 8, tuple(range(8)), 3, 5
     )
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize(
+    "attack", ["split", "outlier", "noise", "crossfire", "echo", "oscillating"]
+)
+def test_stacks_without_correct_processes(model, attack):
+    """Agents and cured processes cover every pid: a degenerate shape.
+
+    With no correct process a view ranges over every value, so the
+    departure and the attack ranges differ by the memory corruptions.
+    """
+    f = 2
+    n = f if model == "M4" else 2 * f
+    run_identity(
+        model, f, 0, ("round-robin", "random", "round-robin"),
+        (attack,) * 3, (4, 5, 6), 7, 8, n=n,
+    )
+
+
+class BadCamps(SplitAttack):
+    """Split camps whose indices point past the two camp values.
+
+    Broken only once ``broken`` is set, so round 0 (planned per run)
+    passes and the failure lands in the stacked planner.
+    """
+
+    broken = False
+
+    def attack_camps(self, view, sender):
+        camps = super().attack_camps(view, sender)
+        if not self.broken:
+            return camps
+        return RecipientCamps(
+            values=camps.values,
+            assignment=tuple(code + 2 for code in camps.assignment),
+        )
+
+    def attack_camps_many(self, stack, senders):
+        codes, values = super().attack_camps_many(stack, senders)
+        return (codes + 2 if self.broken else codes), values
+
+
+class Teleport(StaticAgents):
+    """Stays put, then (once ``target`` is set) jumps to ``target``."""
+
+    target = None
+
+    def next_positions(self, view):
+        return view.positions if self.target is None else self.target
+
+
+def _error_pair(model, f, make_attack_, make_movement_, break_runs):
+    """The plan_round and plan_many errors of one round-1 failure."""
+    n = get_semantics(model).required_n(f)
+    outcomes = []
+    for stacked in (False, True):
+        controllers = [
+            MobileFaultController(n, f, model, Adversary(make_movement_(), make_attack_()))
+            for _ in range(3)
+        ]
+        rngs = [random.Random(seed) for seed in range(3)]
+        stack = np.array([snapshot(np.random.default_rng(seed), n) for seed in range(3)])
+        for controller, rng, row in zip(controllers, rngs, stack):
+            controller.plan_round(0, ArrayValues(row.copy()), rng)
+        break_runs(controllers, n, f)
+        with pytest.raises(ValueError) as error:
+            if stacked:
+                CrossRunPlanner(controllers, rngs, wrap=ArrayValues).plan_many(
+                    1, stack, [0, 1, 2]
+                )
+            else:
+                controllers[0].plan_round(1, ArrayValues(stack[0].copy()), rngs[0])
+        outcomes.append(str(error.value))
+    return outcomes
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_values_raise_the_scalar_error(model, bad):
+    def break_runs(controllers, n, f):
+        for controller in controllers:
+            controller.adversary.values.value = bad
+
+    reference, stacked = _error_pair(
+        model, 2, lambda: FixedValue(0.5), RoundRobinWalk, break_runs
+    )
+    assert "non-finite" in reference
+    assert stacked == reference
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_camp_indices_out_of_range_raise_the_scalar_error(model):
+    def break_runs(controllers, n, f):
+        for controller in controllers:
+            controller.adversary.values.broken = True
+
+    reference, stacked = _error_pair(model, 2, BadCamps, RoundRobinWalk, break_runs)
+    assert "outside the 2 declared values" in reference
+    assert stacked == reference
+
+
+@pytest.mark.parametrize("model", ["M2", "M4"])
+@pytest.mark.parametrize("where", ["invalid-id", "too-many"])
+def test_bad_positions_raise_the_scalar_error(model, where):
+    def break_runs(controllers, n, f):
+        target = frozenset({n}) if where == "invalid-id" else frozenset(range(f + 1))
+        for controller in controllers:
+            controller.adversary.movement.target = target
+
+    reference, stacked = _error_pair(model, 2, SplitAttack, Teleport, break_runs)
+    assert "adversary placed" in reference
+    assert stacked == reference
